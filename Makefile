@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSparse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadAny$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelHierIdentity$$' -fuzztime $(FUZZTIME) ./internal/hier
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchKernelIdentity$$' -fuzztime $(FUZZTIME) ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptiveInvariants$$' -fuzztime $(FUZZTIME) ./internal/adaptive
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreCacheIndex$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/store

@@ -319,7 +319,8 @@ func BenchmarkAblationBinmat(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBlocking — §4.3: cache-blocked batch evaluation.
+// BenchmarkAblationBlocking — §4.3: the subspace-major block kernel
+// against a point-major loop of one-point walks.
 func BenchmarkAblationBlocking(b *testing.B) {
 	desc := benchDesc(b)
 	g := core.NewGrid(desc)
@@ -327,17 +328,18 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	hier.Iterative(g)
 	xs := workload.Points(12, 512, benchDim)
 	out := make([]float64, len(xs))
-	for _, bs := range []int{0, 16, 64, 256} {
-		name := "unblocked"
-		if bs > 0 {
-			name = fmt.Sprintf("block%d", bs)
-		}
-		b.Run(name, func(b *testing.B) {
-			for k := 0; k < b.N; k++ {
-				eval.Batch(g, xs, out, eval.Options{BlockSize: bs})
+	b.Run("pointmajor", func(b *testing.B) {
+		for k := 0; k < b.N; k++ {
+			for j, x := range xs {
+				out[j] = eval.Iterative(g, x)
 			}
-		})
-	}
+		}
+	})
+	b.Run("blocked", func(b *testing.B) {
+		for k := 0; k < b.N; k++ {
+			eval.Batch(g, xs, out, eval.Options{Workers: 1})
+		}
+	})
 }
 
 // Micro-benchmarks of the index maps themselves — the O(d) costs Table 1
@@ -498,8 +500,9 @@ var kernelMatrix = []struct{ dim, level int }{
 	{10, 5}, {10, 6}, {10, 7}, {10, 8},
 }
 
-// kernelParWorkers is the worker count of the "par" rows. Fixed (rather
-// than GOMAXPROCS) so runs on different machines stay comparable.
+// kernelParWorkers is the worker count of the parallel rows (hier "par",
+// eval "w4"). Fixed (rather than GOMAXPROCS) so runs on different
+// machines stay comparable.
 const kernelParWorkers = 4
 
 // reportPerPoint attaches the per-grid-point metrics the trajectory
@@ -514,16 +517,15 @@ func reportPerPoint(b *testing.B, points int64) {
 	}
 }
 
-// BenchmarkKernelEval — batch evaluation of benchPoints query points,
-// sequential, parallel, and cache-blocked.
+// BenchmarkKernelEval — batch evaluation of benchPoints query points
+// by the block kernel, on one worker and split over kernelParWorkers.
 func BenchmarkKernelEval(b *testing.B) {
 	variants := []struct {
 		name string
 		opt  eval.Options
 	}{
-		{"seq", eval.Options{}},
-		{"par", eval.Options{Workers: kernelParWorkers}},
-		{"blk256", eval.Options{BlockSize: 256}},
+		{"w1", eval.Options{Workers: 1}},
+		{fmt.Sprintf("w%d", kernelParWorkers), eval.Options{Workers: kernelParWorkers}},
 	}
 	for _, c := range kernelMatrix {
 		for _, v := range variants {

@@ -34,7 +34,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	random := fs.Int("random", 0, "evaluate at N random points instead of reading them")
 	seed := fs.Int64("seed", 1, "random point seed")
 	workers := fs.Int("workers", 0, "evaluation workers (0 = auto: GOMAXPROCS)")
-	block := fs.Int("block", 0, "cache blocking size (0 = off)")
+	block := fs.Int("block", 0, "deprecated, ignored: the batch kernel sizes its blocks from the grid shape (negative is still an error)")
 	timing := fs.Bool("time", false, "print timing to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err

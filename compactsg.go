@@ -44,7 +44,6 @@ type Grid struct {
 	g          *core.Grid
 	compressed bool
 	workers    int
-	blockSize  int
 	// readonly marks a grid whose coefficients live in a read-only
 	// memory mapping (see Open): mutating it would fault, so the
 	// mutating methods refuse with ErrReadOnly instead.
@@ -75,14 +74,16 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithBlockSize enables cache-blocked batch evaluation with the given
-// block of query points per subspace pass (0 disables blocking).
+// WithBlockSize is accepted for compatibility and ignored: batch
+// evaluation derives its cache-blocking block size from the grid shape
+// (see EvaluateBatch). A negative value is still an error.
+//
+// Deprecated: the option has no effect.
 func WithBlockSize(n int) Option {
 	return func(g *Grid) error {
 		if n < 0 {
 			return fmt.Errorf("compactsg: block size %d < 0", n)
 		}
-		g.blockSize = n
 		return nil
 	}
 }
@@ -205,8 +206,14 @@ func (g *Grid) Evaluate(x []float64) (float64, error) {
 	return eval.Iterative(g.g, x), nil
 }
 
-// EvaluateBatch interpolates at many points using the configured
-// workers and blocking; out may be nil.
+// EvaluateBatch interpolates at many points; out may be nil. The
+// points are split into cache-line-aligned chunks over the configured
+// workers (WithWorkers), and each chunk runs one subspace-major kernel
+// over blocks of up to B_max points, where B_max comes from the grid
+// shape: the basis tables of a block (16·d·level bytes per point) are
+// kept within a fixed cache budget. Results are bit-identical to
+// Evaluate at every point, for any worker count. A batch that fills a
+// single chunk runs on the caller's goroutine.
 func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 	if !g.compressed {
 		return nil, errors.New("compactsg: EvaluateBatch requires a compressed grid")
@@ -216,7 +223,7 @@ func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 			return nil, fmt.Errorf("compactsg: point %d has %d coordinates, grid has %d dimensions", k, len(x), g.Dim())
 		}
 	}
-	return eval.Batch(g.g, xs, out, eval.Options{Workers: g.workers, BlockSize: g.blockSize}), nil
+	return eval.Batch(g.g, xs, out, eval.Options{Workers: g.workers}), nil
 }
 
 // Integrate returns ∫ fs over [0,1]^d of the compressed grid, computed
@@ -363,7 +370,7 @@ type BoundaryGrid struct {
 }
 
 // NewWithBoundary creates an extended sparse grid. Options: WithWorkers
-// (parallel face transforms); WithBlockSize is not applicable.
+// (parallel face transforms).
 func NewWithBoundary(dim, level int, opts ...Option) (*BoundaryGrid, error) {
 	b, err := boundary.New(dim, level)
 	if err != nil {

@@ -26,6 +26,33 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestWithBlockSizeIgnored: the deprecated block-size option is
+// accepted and changes nothing — the batch kernel sizes its own blocks.
+func TestWithBlockSizeIgnored(t *testing.T) {
+	xs := workload.Points(4, 300, 3)
+	var want []float64
+	for _, bs := range []int{0, 1, 64, 1 << 20} {
+		g, err := New(3, 5, WithWorkers(2), WithBlockSize(bs))
+		if err != nil {
+			t.Fatalf("block size %d rejected: %v", bs, err)
+		}
+		g.Compress(workload.Parabola.F)
+		out, err := g.EvaluateBatch(xs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = out
+			continue
+		}
+		for k := range out {
+			if math.Float64bits(out[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("block size %d: out[%d] = %v, want %v", bs, k, out[k], want[k])
+			}
+		}
+	}
+}
+
 func TestPaperGridSizes(t *testing.T) {
 	g, err := New(10, 11)
 	if err != nil {
@@ -130,7 +157,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf, WithWorkers(2), WithBlockSize(16))
+	back, err := Load(&buf, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +176,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestBatchMatchesSingle(t *testing.T) {
-	g, _ := New(4, 4, WithWorkers(3), WithBlockSize(8))
+	g, _ := New(4, 4, WithWorkers(3))
 	g.Compress(workload.Parabola.F)
 	xs := workload.Points(2, 50, 4)
 	batch, err := g.EvaluateBatch(xs, nil)

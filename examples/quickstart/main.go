@@ -47,8 +47,8 @@ func main() {
 		fmt.Printf("f%v = %.6f   (exact %.6f, error %.2e)\n", x, y, f(x), math.Abs(y-f(x)))
 	}
 
-	// Batch evaluation with blocking — the paper's cache optimization.
-	gb, err := compactsg.New(4, 8, compactsg.WithWorkers(4), compactsg.WithBlockSize(64))
+	// Batch evaluation: the cache-blocked kernel split over four workers.
+	gb, err := compactsg.New(4, 8, compactsg.WithWorkers(4))
 	if err != nil {
 		log.Fatal(err)
 	}

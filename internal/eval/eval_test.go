@@ -117,24 +117,21 @@ func TestInterpolationErrorSmallForSmoothFunction(t *testing.T) {
 	}
 }
 
+// TestBatchVariantsIdentical: the streaming block passes and the
+// one-point walk must agree bit for bit, at every worker count.
 func TestBatchVariantsIdentical(t *testing.T) {
 	g := hierGrid(4, 4, parabola)
 	rng := rand.New(rand.NewSource(8))
 	xs := randPoints(rng, 137, 4)
-	ref := Batch(g, xs, nil, Options{})
-	variants := []Options{
-		{Workers: 2},
-		{Workers: 5},
-		{BlockSize: 16},
-		{BlockSize: 7},
-		{Workers: 3, BlockSize: 32},
-		{Workers: 8, BlockSize: 1},
+	ref := make([]float64, len(xs))
+	for k, x := range xs {
+		ref[k] = Iterative(g, x)
 	}
-	for _, opt := range variants {
-		got := Batch(g, xs, nil, opt)
+	for _, workers := range []int{0, 1, 2, 5, 8} {
+		got := Batch(g, xs, nil, Options{Workers: workers})
 		for k := range got {
-			if got[k] != ref[k] {
-				t.Fatalf("options %+v: result %d differs: %g vs %g", opt, k, got[k], ref[k])
+			if math.Float64bits(got[k]) != math.Float64bits(ref[k]) {
+				t.Fatalf("workers=%d: result %d differs: %g vs %g", workers, k, got[k], ref[k])
 			}
 		}
 	}
@@ -185,7 +182,7 @@ func TestEvaluateOnDehierarchizedGridIsWrong(t *testing.T) {
 
 func TestBatchEmptyInput(t *testing.T) {
 	g := hierGrid(2, 3, parabola)
-	if out := Batch(g, nil, nil, Options{Workers: 4, BlockSize: 8}); len(out) != 0 {
+	if out := Batch(g, nil, nil, Options{Workers: 4}); len(out) != 0 {
 		t.Errorf("Batch(nil) returned %d results", len(out))
 	}
 }

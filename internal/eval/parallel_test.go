@@ -7,55 +7,54 @@ import (
 )
 
 // Parallel batch evaluation deals contiguous cache-line-aligned chunks
-// of query points to workers (DESIGN.md §10); every point is still
-// evaluated by the same single-query kernel, so results must be
-// bit-identical to the sequential pass at any worker count — including
-// counts exceeding the number of points, where trailing workers get
-// empty chunks.
+// of query points to workers (DESIGN.md §10), and every chunk runs the
+// same block kernel, so results must be bit-identical to the sequential
+// pass at any worker count and batch size — including counts exceeding
+// the number of chunks, where trailing workers get nothing.
 func TestBatchParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, c := range []struct{ d, n, pts int }{
-		{1, 1, 1},   // degenerate: one point, one query
-		{1, 7, 5},   // fewer queries than most worker counts
-		{2, 2, 3},   // level-1-ish tiny grid
-		{3, 5, 40},  // mid-size, queries not a multiple of the line size
-		{5, 5, 64},  // aligned query count
-		{10, 4, 17}, // high-d
+	for _, c := range []struct{ d, n int }{
+		{1, 1},  // degenerate: one grid point
+		{1, 7},  // d = 1: only the accumulating pass
+		{2, 2},  // d = 2: single-dimension start
+		{3, 5},  // start pair straight into the accumulating pass
+		{5, 5},  // start pair plus one pair pass
+		{10, 4}, // high, even d: ends on a single-dimension pass
 	} {
 		g := hierGrid(c.d, c.n, parabola)
-		xs := randPoints(rng, c.pts, c.d)
-		want := Batch(g, xs, nil, Options{})
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := Batch(g, xs, nil, Options{Workers: workers})
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("d=%d n=%d pts=%d workers=%d: out[%d] = %v, sequential %v",
-						c.d, c.n, c.pts, workers, k, got[k], want[k])
+		sizes := kernelBatchSizes(blockFor(c.d, c.n))
+		xs := randPoints(rng, sizes[len(sizes)-1], c.d)
+		want := Batch(g, xs, nil, Options{Workers: 1})
+		for _, size := range sizes {
+			for _, workers := range kernelWorkers {
+				got := Batch(g, xs[:size], nil, Options{Workers: workers})
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("d=%d n=%d size=%d workers=%d: out[%d] = %v, sequential %v",
+							c.d, c.n, size, workers, k, got[k], want[k])
+					}
 				}
-			}
-		}
-		// Workers = 0 resolves to GOMAXPROCS; still identical.
-		got := Batch(g, xs, nil, Options{Workers: 0})
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("d=%d auto workers: out[%d] = %v, sequential %v", c.d, k, got[k], want[k])
 			}
 		}
 	}
 }
 
-// The cache-blocked variant must agree bit for bit with the plain
-// parallel path too (same kernel, different loop order over blocks).
+// Chunks longer than the kernel's block limit are cut into several
+// blocks; each point must still agree bit for bit with its one-point
+// evaluation, whatever block and chunk it lands in.
 func TestBatchBlockedParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	g := hierGrid(4, 5, parabola)
-	xs := randPoints(rng, 100, 4)
-	want := Batch(g, xs, nil, Options{})
-	for _, workers := range []int{0, 2, 3, 8} {
-		got := Batch(g, xs, nil, Options{Workers: workers, BlockSize: 16})
+	xs := randPoints(rng, 8*blockFor(4, 5)+13, 4)
+	want := make([]float64, len(xs))
+	for k, x := range xs {
+		want[k] = Iterative(g, x)
+	}
+	for _, workers := range []int{0, 1, 2, 3, 8} {
+		got := Batch(g, xs, nil, Options{Workers: workers})
 		for k := range want {
 			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("workers=%d blocked: out[%d] = %v, sequential %v", workers, k, got[k], want[k])
+				t.Fatalf("workers=%d: out[%d] = %v, one-point %v", workers, k, got[k], want[k])
 			}
 		}
 	}

@@ -64,18 +64,31 @@ func refQueries(rng *rand.Rand, n, d int) [][]float64 {
 	return append(xs, zero, one)
 }
 
-// TestTableKernelBitIdentical: the table-driven Iterative and every
-// Batch configuration must reproduce the recomputing reference kernel
-// bit for bit on random grids and queries (including clamped
-// out-of-domain coordinates).
+// kernelBatchSizes are the batch sizes the identity tests sweep for a
+// kernel block limit bmax: tiny batches (the one-point walk and short
+// streams), the cache-line chunk boundaries of the worker split, and
+// batches around one, and more than three, kernel blocks.
+func kernelBatchSizes(bmax int) []int {
+	return []int{1, 2, 7, 8, 9, 63, 64, 65, bmax - 1, bmax, bmax + 1, 3*bmax + 5}
+}
+
+// kernelWorkers are the worker counts the identity tests sweep: auto,
+// sequential, and splits that leave trailing workers without a chunk.
+var kernelWorkers = []int{0, 1, 2, 3, 8}
+
+// TestTableKernelBitIdentical: Iterative and Batch at every batch size
+// and worker count must reproduce the recomputing reference kernel bit
+// for bit on random grids and queries (including clamped out-of-domain
+// coordinates), on shapes from d=1 up to d5l10 and d10l4.
 func TestTableKernelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, c := range []struct{ d, n int }{{1, 1}, {1, 7}, {2, 5}, {3, 6}, {5, 5}, {10, 4}} {
+	for _, c := range []struct{ d, n int }{{1, 1}, {1, 7}, {2, 5}, {3, 6}, {5, 5}, {5, 10}, {10, 4}} {
 		g := core.NewGrid(core.MustDescriptor(c.d, c.n))
 		for k := range g.Data {
 			g.Data[k] = rng.NormFloat64()
 		}
-		xs := refQueries(rng, 40, c.d)
+		sizes := kernelBatchSizes(blockFor(c.d, c.n))
+		xs := refQueries(rng, sizes[len(sizes)-1]-2, c.d)
 		want := make([]float64, len(xs))
 		for k, x := range xs {
 			want[k] = iterativeReference(g, x)
@@ -85,18 +98,17 @@ func TestTableKernelBitIdentical(t *testing.T) {
 				t.Fatalf("d=%d n=%d Iterative(%v) = %v, reference %v", c.d, c.n, x, got, want[k])
 			}
 		}
-		for _, opt := range []Options{
-			{},
-			{Workers: 3},
-			{BlockSize: 7},
-			{Workers: 2, BlockSize: 16},
-			{BlockSize: len(xs) + 5}, // block larger than the query set
-		} {
-			got := Batch(g, xs, nil, opt)
-			for k := range got {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("d=%d n=%d Batch(%+v)[%d] = %v, reference %v (x=%v)",
-						c.d, c.n, opt, k, got[k], want[k], xs[k])
+		// Each size takes the tail of xs, so every batch also holds the
+		// two domain corners.
+		for _, size := range sizes {
+			for _, workers := range kernelWorkers {
+				lo := len(xs) - size
+				got := Batch(g, xs[lo:], nil, Options{Workers: workers})
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(want[lo+k]) {
+						t.Fatalf("d=%d n=%d size=%d workers=%d: out[%d] = %v, reference %v (x=%v)",
+							c.d, c.n, size, workers, k, got[k], want[lo+k], xs[lo+k])
+					}
 				}
 			}
 		}
@@ -152,4 +164,33 @@ func TestGradientMatchesIterativeValue(t *testing.T) {
 			t.Fatalf("Gradient value at %v = %v, Iterative %v", x, got, want)
 		}
 	}
+}
+
+// FuzzBatchKernelIdentity fuzzes the batch kernel against the
+// recomputing reference over grid shape, batch size, worker count and
+// seed: every block length, chunk split and d-parity the kernel can
+// meet must leave each point's result bit-identical.
+func FuzzBatchKernelIdentity(f *testing.F) {
+	f.Add(int64(1), 3, 4, 9, 2)
+	f.Add(int64(2), 1, 6, 2, 0)
+	f.Add(int64(3), 6, 3, 65, 3)
+	f.Add(int64(4), 4, 5, 300, 8)
+	f.Fuzz(func(t *testing.T, seed int64, d, n, size, workers int) {
+		if d < 1 || d > 6 || n < 1 || n > 6 || size < 0 || size > 600 || workers < 0 || workers > 16 {
+			t.Skip()
+		}
+		g := core.NewGrid(core.MustDescriptor(d, n))
+		rng := rand.New(rand.NewSource(seed))
+		for k := range g.Data {
+			g.Data[k] = rng.NormFloat64()
+		}
+		xs := refQueries(rng, size, d)[2:] // size points, ending on the two domain corners
+		got := Batch(g, xs, nil, Options{Workers: workers})
+		for k, x := range xs {
+			if want := iterativeReference(g, x); math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Fatalf("d=%d n=%d size=%d workers=%d: out[%d] = %v, reference %v (x=%v)",
+					d, n, size, workers, k, got[k], want, x)
+			}
+		}
+	})
 }

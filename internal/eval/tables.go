@@ -19,109 +19,96 @@ import (
 // the per-subspace work into pure table lookups and integer shifts.
 //
 // The tables are bit-identical to the recomputation by construction:
-// build evaluates exactly the expressions the old inner loop used, once
-// per (t, lvl) instead of once per (subspace, t).
+// build evaluates exactly the expressions the recomputing walk uses,
+// once per (t, lvl) instead of once per (subspace, t).
 
-// basisTables holds the per-query tables, flattened as [t*n + lvl] for
-// dimension t and 1d level lvl < n.
-type basisTables struct {
-	d, n int
-	cell []int64   // cell[t*n+lvl]: index of the level-lvl cell containing x_t
-	phi  []float64 // phi[t*n+lvl]:  value of the one nonzero level-lvl hat at x_t
+// tableBudget is the cache budget for one block's basis tables. A
+// block of B points holds 16·d·n·B bytes of tables (an int64 cell index
+// and a float64 hat value per point, dimension and level). Every
+// subspace reads a few rows of them while its coefficients stream
+// through, so the set is sized to stay cache-resident beside those
+// coefficients: half of a 256 KiB L2.
+const tableBudget = 128 << 10
+
+// Block sizes are clamped to [minBlock, maxBlock]: below minBlock the
+// per-row loops are too short to amortize their setup, and above
+// maxBlock a chunk of small-grid points gains nothing from more reuse.
+const (
+	minBlock = 8
+	maxBlock = 256
+)
+
+// blockFor returns B_max, the largest block of query points the kernel
+// walks at once on a d-dimensional level-n grid: the table footprint
+// 16·d·n bytes per point against tableBudget.
+func blockFor(d, n int) int {
+	return max(minBlock, min(maxBlock, tableBudget/(16*d*n)))
 }
 
-// resize prepares the tables for a d-dimensional level-n grid, reusing
-// backing storage when it is large enough.
-func (tb *basisTables) resize(d, n int) {
-	tb.d, tb.n = d, n
-	if cap(tb.cell) < d*n {
-		tb.cell = make([]int64, d*n)
-		tb.phi = make([]float64, d*n)
+// blockTables is one worker's scratch for a block of m query points:
+// the level vector of the subspace walk; the basis tables transposed to
+// subspace-major rows — cell[(t*n+lvl)*m + k] and phi[(t*n+lvl)*m + k]
+// for block point k — so that the row a subspace selects for (t, l_t)
+// is one contiguous vector across the block; and d slots of m running
+// indices and basis products (idx, prod) that sweep streams those rows
+// into.
+type blockTables struct {
+	l    []int32
+	cell []int64
+	phi  []float64
+	idx  []int64
+	prod []float64
+}
+
+var tablePool = sync.Pool{New: func() any { return new(blockTables) }}
+
+// getTables returns pooled tables with room for a block of m points of
+// a d-dimensional level-n grid. A pooled set only ever grows, so once
+// it has served the largest block of a workload it is reused without
+// reallocating; a single query takes d·n·16 bytes, not a full block's
+// worth. The slices written in the sweep's inner loops get whole cache
+// lines: workers' tables never share one.
+func getTables(d, n, m int) *blockTables {
+	s := tablePool.Get().(*blockTables)
+	if cap(s.l) < d {
+		s.l = make([]int32, (d+15)&^15)
 	}
-	tb.cell = tb.cell[:d*n]
-	tb.phi = tb.phi[:d*n]
+	if cap(s.cell) < d*n*m {
+		s.cell = make([]int64, d*n*m)
+		s.phi = make([]float64, d*n*m)
+	}
+	if cap(s.idx) < d*m {
+		s.idx = make([]int64, (d*m+7)&^7)
+		s.prod = make([]float64, (d*m+7)&^7)
+	}
+	return s
 }
 
-// build fills the tables for the query point x — O(d·n) work that the
-// subspace walk then reuses for every subspace.
-func (tb *basisTables) build(x []float64) {
-	n := tb.n
-	for t := 0; t < tb.d; t++ {
-		xt := x[t]
-		row := tb.cell[t*n : t*n+n]
-		prow := tb.phi[t*n : t*n+n]
-		for lvl := 0; lvl < n; lvl++ {
-			cells := int64(1) << uint(lvl)
-			c := core.CellIndex(int32(lvl), xt)
-			div := 1.0 / float64(cells)
-			left := float64(c) * div
-			row[lvl] = c
-			prow[lvl] = basis.EvalInterval(left, left+div, xt)
+func putTables(s *blockTables) { tablePool.Put(s) }
+
+// build fills the tables for the block xs (each of length d) on a
+// level-n grid, with row stride len(xs) — O(d·n) work per point that
+// the subspace walk then reuses for every subspace.
+func (s *blockTables) build(xs [][]float64, d, n int) {
+	m := len(xs)
+	s.l = s.l[:d]
+	s.cell = s.cell[:d*n*m]
+	s.phi = s.phi[:d*n*m]
+	s.idx = s.idx[:d*m]
+	s.prod = s.prod[:d*m]
+	cell, phi := s.cell, s.phi[:len(s.cell)]
+	for k, x := range xs {
+		for t, xt := range x[:d] {
+			j := t*n*m + k // entry (t, 0) of point k; level steps by m
+			for lvl := 0; lvl < n; lvl++ {
+				cells := int64(1) << uint(lvl)
+				c := core.CellIndex(int32(lvl), xt)
+				div := 1.0 / float64(cells)
+				left := float64(c) * div
+				cell[j] = c
+				phi[j] = basis.EvalInterval(left, left+div, xt)
+				j += m
+			}
 		}
 	}
-}
-
-// scratch bundles the per-query buffers of the iterative walk (level
-// vector plus basis tables) so single-point evaluation, batch drivers
-// and the serve path run allocation-free at steady state.
-type scratch struct {
-	l  []int32
-	tb basisTables
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// getScratch returns a scratch sized for a d-dimensional level-n grid.
-func getScratch(d, n int) *scratch {
-	s := scratchPool.Get().(*scratch)
-	if cap(s.l) < d {
-		s.l = make([]int32, d)
-	}
-	s.l = s.l[:d]
-	s.tb.resize(d, n)
-	return s
-}
-
-func putScratch(s *scratch) { scratchPool.Put(s) }
-
-// blockScratch carries the per-block buffers of the cache-blocked
-// (subspace-major) evaluation: one table set per query point of the
-// block, point-major so each point's tables stay contiguous.
-type blockScratch struct {
-	l    []int32
-	n    int
-	cell []int64 // cell[(k*d+t)*n + lvl] for block point k
-	phi  []float64
-}
-
-var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
-
-// getBlockScratch returns a blockScratch sized for bs query points of a
-// d-dimensional level-n grid.
-func getBlockScratch(bs, d, n int) *blockScratch {
-	s := blockScratchPool.Get().(*blockScratch)
-	if cap(s.l) < d {
-		s.l = make([]int32, d)
-	}
-	s.l = s.l[:d]
-	s.n = n
-	if cap(s.cell) < bs*d*n {
-		s.cell = make([]int64, bs*d*n)
-		s.phi = make([]float64, bs*d*n)
-	}
-	s.cell = s.cell[:bs*d*n]
-	s.phi = s.phi[:bs*d*n]
-	return s
-}
-
-func putBlockScratch(s *blockScratch) { blockScratchPool.Put(s) }
-
-// build fills the tables of block point k for query x.
-func (s *blockScratch) build(k int, x []float64) {
-	d, n := len(x), s.n
-	var tb basisTables
-	tb.d, tb.n = d, n
-	tb.cell = s.cell[(k*d)*n : (k*d+d)*n]
-	tb.phi = s.phi[(k*d)*n : (k*d+d)*n]
-	tb.build(x)
 }

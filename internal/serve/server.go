@@ -29,8 +29,11 @@ type Config struct {
 	// /v1/eval/batch saturates every core while a 1-CPU host stays on
 	// the sequential kernels.
 	Workers int
-	// BlockSize is the cache-blocking block for batch evaluation
-	// (compactsg.WithBlockSize). Default 0 (off).
+	// BlockSize is accepted for compatibility and only validated, by
+	// the compactsg.WithBlockSize shim: a negative value fails every
+	// grid load. Batch evaluation sizes its blocks from the grid shape.
+	//
+	// Deprecated: the field has no effect.
 	BlockSize int
 	// MaxResident bounds how many grids stay loaded (LRU beyond it).
 	// Default 8.

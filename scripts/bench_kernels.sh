@@ -6,6 +6,12 @@ set -euo pipefail
 # allocs/op, ns/point, points/s} for the compact-layout evaluation and
 # hierarchization kernels, so the perf trajectory is diffable across PRs.
 #
+# Every benchmark runs 5 times (-count 5). Each row records the
+# median of every metric, the number of runs ("count"), and the
+# per-metric "min" and "max" over the runs, so a change can be judged
+# against the spread of the host that recorded it. Names drop the
+# -GOMAXPROCS suffix ("cpus" records it), so rows line up across hosts.
+#
 # Usage:
 #   scripts/bench_kernels.sh                  # refresh the "current" run
 #   scripts/bench_kernels.sh --as-baseline    # also stamp the run as the stored baseline
@@ -20,7 +26,9 @@ set -euo pipefail
 #
 # The output keeps two runs side by side: "baseline" (the run last
 # stamped with --as-baseline — for this repo, the pre-table-driven
-# kernels) and "current". Requires jq.
+# kernels) and "current". Requires jq. Schema 2 added the per-row
+# count/min/max; a baseline stamped under schema 1 keeps its single-run
+# rows.
 
 cd "$(dirname "$0")/.."
 
@@ -42,13 +50,16 @@ command -v jq >/dev/null || { echo "bench_kernels.sh: jq is required" >&2; exit 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -timeout 60m . | tee "$raw"
+go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count 5 -timeout 120m . | tee "$raw"
 
 # Each bench line is: Name N  v1 unit1  v2 unit2 ...; units become JSON
-# keys (ns/op -> ns_per_op, points/s -> points_per_s, ...).
+# keys (ns/op -> ns_per_op, points/s -> points_per_s, ...). The runs of
+# one name then fold into a row of medians plus min/max.
 results=$(awk '
     /^Benchmark/ {
-        printf "{\"name\":\"%s\",\"iters\":%s", $1, $2
+        name = $1
+        sub(/-[0-9]+$/, "", name)
+        printf "{\"name\":\"%s\",\"iters\":%s", name, $2
         for (i = 3; i + 1 <= NF; i += 2) {
             key = $(i + 1)
             gsub(/\//, "_per_", key)
@@ -57,7 +68,13 @@ results=$(awk '
         }
         print "}"
     }
-' "$raw" | jq -s .)
+' "$raw" | jq -s '
+    def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                       else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+    def fold(f): . as $runs | reduce ($runs | map(keys) | add | unique - ["name"])[] as $k
+                 ({}; .[$k] = ($runs | map(.[$k] | values) | f));
+    group_by(.name) | map({name: .[0].name, count: length} + fold(median)
+                          + {min: fold(min), max: fold(max)})')
 
 if [ "$(jq 'length' <<<"$results")" -eq 0 ]; then
     echo "bench_kernels.sh: no benchmark lines parsed (pattern \"$PATTERN\")" >&2
@@ -80,5 +97,5 @@ else
 fi
 
 jq -n --argjson baseline "$baseline" --argjson current "$run" \
-    '{schema: 1, baseline: $baseline, current: $current}' > "$OUT"
+    '{schema: 2, baseline: $baseline, current: $current}' > "$OUT"
 echo "wrote $OUT ($(jq '.current.results | length' "$OUT") benchmarks)"
