@@ -89,7 +89,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "evaluation worker pool size per grid (0 = auto: GOMAXPROCS)")
 	block := fs.Int("block", 0, "deprecated, ignored: the batch kernel sizes its blocks from the grid shape (negative is still an error)")
 	maxGrids := fs.Int("max-grids", 8, "max grids resident in memory (LRU beyond)")
-	noCoalesce := fs.Bool("no-coalesce", false, "disable micro-batching: evaluate each /v1/eval on its own goroutine")
+	noCoalesce := fs.Bool("no-coalesce", false, "disable micro-batching: evaluate each /v1/eval as its own one-point batch")
 	maxBatch := fs.Int("max-batch", 256, "micro-batch size cap for coalesced /v1/eval")
 	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time an open micro-batch waits for more requests")
 	maxBody := fs.Int64("max-body", 1<<20, "max request body bytes")

@@ -39,6 +39,7 @@ type batcher struct {
 
 	mu       sync.Mutex
 	closed   bool
+	accepted int            // submits past the closed check; close flushes every one
 	inflight sync.WaitGroup // submits between accept and enqueue
 	done     chan struct{}  // closed when run has drained and exited
 }
@@ -102,6 +103,7 @@ func (b *batcher) submit(ctx context.Context, x []float64) (float64, error) {
 		b.mu.Unlock()
 		return 0, ErrClosed
 	}
+	b.accepted++
 	b.inflight.Add(1)
 	b.mu.Unlock()
 
@@ -231,6 +233,11 @@ func (b *batcher) run() {
 		res, err := b.grid.EvaluateBatch(xs, out[:len(live)])
 		evalDur := time.Since(evalStart)
 		dispatch := evalStart.Sub(flushed)
+		// Count the batch before any caller gets its value, so a client
+		// that has its answer always finds it in the metrics.
+		if b.onFlush != nil {
+			b.onFlush(len(live))
+		}
 		for k, c := range live {
 			r := evalResult{
 				queueWait: flushed.Sub(c.enq),
@@ -244,9 +251,6 @@ func (b *batcher) run() {
 				r.v = res[k]
 			}
 			deliver(c, r)
-		}
-		if b.onFlush != nil {
-			b.onFlush(len(live))
 		}
 	}
 }

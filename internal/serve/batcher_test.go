@@ -116,6 +116,24 @@ func TestBatcherSkipsCancelledCalls(t *testing.T) {
 	}
 }
 
+// TestBatcherCountsBeforeDelivery: the flush hook (the batch-size and
+// points metrics) runs before any caller receives its value, so a
+// client holding its answer never reads metrics that miss its batch.
+func TestBatcherCountsBeforeDelivery(t *testing.T) {
+	g := loadTestGrid(t, 2, 3)
+	res := make(chan evalResult, 1)
+	pending := make(chan int, 1)
+	b := newBatcher(g, 1, time.Hour, func(int) { pending <- len(res) })
+	defer b.close()
+	b.in <- evalCall{x: []float64{0.5, 0.5}, res: res, enq: time.Now()}
+	if n := <-pending; n != 0 {
+		t.Fatal("the value was delivered before the flush hook counted its batch")
+	}
+	if r := <-res; r.err != nil {
+		t.Fatal(r.err)
+	}
+}
+
 // TestBatcherCancelAfterEnqueue exercises the real client sequence:
 // enqueue, abandon via cancel, and verify later submits still complete.
 func TestBatcherCancelAfterEnqueue(t *testing.T) {
@@ -177,7 +195,7 @@ func TestServerEvictionUnderLoad(t *testing.T) {
 				d := dims[(w+k)%grids]
 				name := fmt.Sprintf("g%d", d)
 				x := workload.Points(int64(w*100000+k), 1, d)[0]
-				rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: name, Point: x})
+				rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: name, Point: x})
 				if rec.Code != http.StatusOK {
 					fail(fmt.Errorf("worker %d req %d (%s): status %d body %s", w, k, name, rec.Code, rec.Body))
 					return

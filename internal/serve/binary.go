@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 	"unsafe"
 
 	"compactsg/internal/obs"
@@ -110,14 +108,11 @@ func aligned8(p []byte) bool {
 // into fr.flat. Either way fr.pts carries the per-point views
 // EvaluateBatch wants, with no per-request allocation at steady state.
 func decodeBinFrame(fr *binFrame, raw []byte) (binRequest, error) {
-	if len(raw) < 2 {
-		return binRequest{}, errFrameTruncated
+	name, err := FrameGridName(raw)
+	if err != nil {
+		return binRequest{}, err
 	}
-	nameLen := int(binary.LittleEndian.Uint16(raw))
-	if nameLen > binMaxName {
-		return binRequest{}, errFrameName
-	}
-	hdr := 2 + nameLen
+	hdr := 2 + len(name)
 	pad := (8 - hdr%8) % 8
 	dataOff := hdr + pad + 8 // + u32 n + u32 d
 	if len(raw) < dataOff {
@@ -171,7 +166,7 @@ func decodeBinFrame(fr *binFrame, raw []byte) (binRequest, error) {
 	for i := range fr.pts {
 		fr.pts[i] = fr.flat[i*d : (i+1)*d : (i+1)*d]
 	}
-	return binRequest{name: raw[2:hdr], n: n, d: d, pts: fr.pts}, nil
+	return binRequest{name: name, n: n, d: d, pts: fr.pts}, nil
 }
 
 // prepareBinResponse sizes fr.resp for n values, writes the response
@@ -213,7 +208,12 @@ func finishBinResponse(fr *binFrame) []byte {
 
 // AppendEvalFrame appends a /v1/eval/bin request frame for pts to dst
 // and returns the extended slice. The client half of decodeBinFrame,
-// shared by sgload, sgstress and the tests.
+// shared by sgload, sgstress, sgproxy and the tests.
+//
+// The frame carries one dimension, len(pts[0]), and a u16 name length,
+// so the caller must pass a non-ragged batch and a grid name of at most
+// 256 bytes: anything else encodes a different, or invalid, request.
+// DecodeEval enforces both for JSON requests a proxy re-frames.
 func AppendEvalFrame(dst []byte, grid string, pts [][]float64) []byte {
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint16(lenBuf[:2], uint16(len(grid)))
@@ -274,154 +274,49 @@ func ParseValuesFrame(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// readBody drains r into fr.raw without per-request allocations at
-// steady state (io.ReadAll would re-grow a fresh buffer every call).
-func readBody(fr *binFrame, r io.Reader) error {
-	buf := fr.raw[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
+// handleEvalBin decodes a request frame into a pooled binFrame, runs it
+// through evaluate with the output aliasing the response frame, and
+// writes that frame back. The frame returns to the pool unless evaluate
+// answered a context error: then its evaluation may still be running on
+// the frame's buffers, and the frame is left to the GC.
+func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
+	fr := binFramePool.Get().(*binFrame)
+	err := s.evalBin(w, r, fr)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return err
 	}
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), 2*cap(buf))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			fr.raw = buf
-			return nil
-		}
-		if err != nil {
-			fr.raw = buf
-			return err
-		}
-	}
+	binFramePool.Put(fr)
+	return err
 }
 
-// handleEvalBin is the binary twin of handleEvalBatch: same
-// validation, span stages, request timeout, metrics and
-// release-after-eval lease discipline, different wire format.
-func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) evalBin(w http.ResponseWriter, r *http.Request, fr *binFrame) error {
 	sp := obs.FromContext(r.Context())
-	fr := binFramePool.Get().(*binFrame)
-
 	sp.Begin(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	err := readBody(fr, r.Body)
 	var req binRequest
+	var err error
+	fr.raw, err = ReadBody(fr.raw, http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
 	if err == nil {
-		req, err = decodeBinFrame(fr, fr.raw)
+		if req, err = decodeBinFrame(fr, fr.raw); err != nil {
+			err = Errorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		}
 	}
 	sp.End(obs.StageDecode)
 	if err != nil {
-		binFramePool.Put(fr)
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return httpErrorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		return httpErrorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		return err
 	}
-
 	// Resolve the name against the registry's interned copy so the hot
 	// path never materializes a string from the wire bytes.
 	name, ok := s.grids.CanonicalName(req.name)
 	if !ok {
-		if len(req.name) == 0 {
-			name, err = s.resolveGrid("")
-		} else {
-			err = httpErrorf(http.StatusNotFound, "%v %q", ErrUnknownGrid, string(req.name))
-		}
-		if err != nil {
-			binFramePool.Put(fr)
+		if name, err = s.resolveGrid(string(req.name)); err != nil {
 			return err
 		}
 	}
-	sp.SetGrid(name)
-	sp.SetPoints(req.n)
-	if req.n > s.cfg.MaxBatchPoints {
-		binFramePool.Put(fr)
-		return httpErrorf(http.StatusRequestEntityTooLarge,
-			"batch of %d points exceeds the per-request cap of %d", req.n, s.cfg.MaxBatchPoints)
-	}
-	if req.n == 0 {
-		prepareBinResponse(fr, 0)
-		s.writeBinResponse(w, sp, finishBinResponse(fr))
-		binFramePool.Put(fr)
-		return nil
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	lease, err := s.grids.Acquire(ctx, name)
-	if err != nil {
-		binFramePool.Put(fr)
+	if err := s.evaluate(r.Context(), sp, name, req.pts, prepareBinResponse(fr, req.n), false); err != nil {
 		return err
 	}
-	g := lease.Grid()
-	sp.Begin(obs.StageValidate)
-	if req.d != g.Dim() {
-		sp.End(obs.StageValidate)
-		lease.Release()
-		binFramePool.Put(fr)
-		return httpErrorf(http.StatusBadRequest,
-			"frame declares %d coordinates per point, grid has %d dimensions", req.d, g.Dim())
-	}
-	for k, x := range req.pts {
-		if err := validatePoint(x, req.d, k); err != nil {
-			sp.End(obs.StageValidate)
-			lease.Release()
-			binFramePool.Put(fr)
-			return err
-		}
-	}
-	sp.End(obs.StageValidate)
-
-	out := prepareBinResponse(fr, req.n)
-
-	// Same lease discipline as handleEvalBatch: the eval goroutine owns
-	// the release, so a timed-out request can never unmap a snapshot
-	// payload EvaluateBatch is still reading. The frame's buffers are
-	// owned by the goroutine until it delivers; on timeout the frame is
-	// abandoned to the GC instead of being pooled while still in use.
-	type res struct {
-		err       error
-		evalStart time.Time
-		evalDur   time.Duration
-	}
-	dispatched := time.Now()
-	ch := make(chan res, 1)
-	go func() {
-		if s.batchEvalGate != nil {
-			s.batchEvalGate(name)
-		}
-		t0 := time.Now()
-		_, err := g.EvaluateBatch(req.pts, out)
-		// Release BEFORE delivering: out aliases fr.resp (heap), not the
-		// mapping, so once EvaluateBatch returns nothing dereferences the
-		// snapshot — and the caller can never see its answered request
-		// still pinning the mapping.
-		lease.Release()
-		ch <- res{err, t0, time.Since(t0)}
-	}()
-	select {
-	case rs := <-ch:
-		sp.Add(obs.StageDispatch, rs.evalStart.Sub(dispatched))
-		sp.Add(obs.StageEval, rs.evalDur)
-		sp.SetBatchSize(req.n)
-		if rs.err != nil {
-			binFramePool.Put(fr)
-			return rs.err
-		}
-		s.met.batchSize.Observe(float64(req.n))
-		s.met.points.Add(uint64(req.n))
-		s.writeBinResponse(w, sp, finishBinResponse(fr))
-		binFramePool.Put(fr)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	s.writeBinResponse(w, sp, finishBinResponse(fr))
+	return nil
 }
 
 // writeBinResponse writes a success values frame.

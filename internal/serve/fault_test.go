@@ -308,12 +308,14 @@ func waitMappings(t *testing.T, want int64) int64 {
 // evaluation is still running, the grid is LRU-evicted mid-flight, and
 // the snapshot mapping must survive until EvaluateBatch returns.
 //
-// Before the fix, handleEvalBatch released its lease in a handler
+// Before the fix, the batch handler released its lease in a handler
 // defer, so the timeout response dropped the evicted grid's last lease
 // and munmapped the payload under the running read — in production a
 // SIGSEGV, here observable deterministically as ActiveMappings dropping
-// while the eval goroutine is still parked inside the gate. Exercises
-// both detached-goroutine handlers: /v1/eval/batch and /v1/eval/bin.
+// while the eval goroutine is still parked inside the gate. The
+// endpoint is an input: every endpoint served by the executor
+// (non-coalesced /v1/eval, /v1/eval/batch, /v1/eval/bin) must answer
+// the timeout with a 503 JSON error and keep the mapping alive.
 func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("mmap load path is linux-only")
@@ -322,6 +324,12 @@ func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 		name string
 		fire func(t *testing.T, h http.Handler) *httptest.ResponseRecorder
 	}{
+		{
+			name: "json point",
+			fire: func(t *testing.T, h http.Handler) *httptest.ResponseRecorder {
+				return postJSON(t, h, "/v1/eval", EvalRequest{Grid: "a", Point: []float64{0.25, 0.75}})
+			},
+		},
 		{
 			name: "json batch",
 			fire: func(t *testing.T, h http.Handler) *httptest.ResponseRecorder {
@@ -377,7 +385,11 @@ func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 
 			done := make(chan *httptest.ResponseRecorder, 1)
 			go func() { done <- c.fire(t, h) }()
-			<-entered
+			select {
+			case <-entered:
+			case rec := <-done:
+				t.Fatalf("request answered %d (%s) without a detached evaluation", rec.Code, rec.Body)
+			}
 			if got := core.ActiveMappings(); got != baseline+1 {
 				t.Fatalf("with batch in flight: ActiveMappings %d, want %d", got, baseline+1)
 			}
@@ -397,6 +409,9 @@ func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 			brec := <-done
 			if brec.Code != http.StatusServiceUnavailable {
 				t.Fatalf("timed-out batch: status %d body %s, want 503", brec.Code, brec.Body)
+			}
+			if ct := brec.Header().Get("Content-Type"); !strings.Contains(ct, "json") {
+				t.Errorf("timeout error Content-Type = %q, want JSON", ct)
 			}
 			// THE regression assertion: the evicted grid's mapping is
 			// still alive, because only EvaluateBatch returning may drop

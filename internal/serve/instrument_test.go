@@ -16,7 +16,7 @@ import (
 )
 
 // TestInstrumentRecoversPanic: a panicking handler must be answered
-// with a 500 JSON errorResponse, counted in sgserve_panics_total and
+// with a 500 JSON ErrorResponse, counted in sgserve_panics_total and
 // sgserve_errors_total, observed in the latency histogram, and its
 // stack logged via slog — net/http's own recovery does none of that
 // (it aborts the connection and the request vanishes from metrics).
@@ -34,7 +34,7 @@ func TestInstrumentRecoversPanic(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
-	var er errorResponse
+	var er ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
 		t.Fatalf("panic response is not JSON: %v (%s)", err, rec.Body)
 	}
@@ -107,7 +107,7 @@ func TestDecodeJSONStrict(t *testing.T) {
 func TestInstrumentStatusMapping(t *testing.T) {
 	t.Run("404 unknown grid", func(t *testing.T) {
 		s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond}, 2)
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "missing", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "missing", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("status = %d, want 404 (body %s)", rec.Code, rec.Body)
 		}
@@ -121,7 +121,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan *httptest.ResponseRecorder, 1)
 		go func() {
-			body, _ := json.Marshal(evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+			body, _ := json.Marshal(EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 			req := httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -148,7 +148,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 			Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour,
 			RequestTimeout: 20 * time.Millisecond,
 		}, 2)
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body)
 		}
@@ -162,7 +162,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body)
 		}
@@ -179,7 +179,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 	s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond}, 3)
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: []float64{0.25, 0.5, 0.75}})
+	rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g3", Point: []float64{0.25, 0.5, 0.75}})
 	if rec.Code != 200 {
 		t.Fatalf("eval: %d %s", rec.Code, rec.Body)
 	}
@@ -187,7 +187,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 		t.Error("missing X-Request-Id header")
 	}
 	xs := [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}}
-	if rec = postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g3", Points: xs}); rec.Code != 200 {
+	if rec = postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g3", Points: xs}); rec.Code != 200 {
 		t.Fatalf("batch: %d %s", rec.Code, rec.Body)
 	}
 
@@ -252,7 +252,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 func TestTracingDisabled(t *testing.T) {
 	s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond, TraceRing: -1}, 2)
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+	rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 	if rec.Code != 200 {
 		t.Fatalf("eval with tracing off: %d %s", rec.Code, rec.Body)
 	}
@@ -278,10 +278,10 @@ func TestAccessLog(t *testing.T) {
 		AccessLog: slog.New(slog.NewJSONHandler(lock, nil)),
 	}, 2)
 	h := s.Handler()
-	if rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}}); rec.Code != 200 {
+	if rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}}); rec.Code != 200 {
 		t.Fatalf("eval: %d %s", rec.Code, rec.Body)
 	}
-	if rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "nope", Point: []float64{0.5, 0.5}}); rec.Code != 404 {
+	if rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "nope", Point: []float64{0.5, 0.5}}); rec.Code != 404 {
 		t.Fatalf("eval unknown: %d", rec.Code)
 	}
 
@@ -343,13 +343,13 @@ func TestColdLoadWaitSpan(t *testing.T) {
 	wg.Add(2)
 	go func() { // leader
 		defer wg.Done()
-		postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 	}()
 	go func() { // follower
 		defer wg.Done()
 		<-loadStarted
 		time.Sleep(10 * time.Millisecond) // let the follower join the in-flight load
-		postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.25, 0.25}})
+		postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.25, 0.25}})
 	}()
 	go func() {
 		<-loadStarted

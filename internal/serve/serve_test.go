@@ -257,11 +257,11 @@ func TestServerEvalAndBatch(t *testing.T) {
 			ref := refs["g3"]
 
 			x := []float64{0.25, 0.5, 0.75}
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: x})
+			rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g3", Point: x})
 			if rec.Code != 200 {
 				t.Fatalf("eval status = %d, body %s", rec.Code, rec.Body)
 			}
-			var er evalResponse
+			var er EvalResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
 				t.Fatal(err)
 			}
@@ -271,17 +271,17 @@ func TestServerEvalAndBatch(t *testing.T) {
 			}
 
 			// Grid name may be omitted with a single registered grid.
-			rec = postJSON(t, h, "/v1/eval", evalRequest{Point: x})
+			rec = postJSON(t, h, "/v1/eval", EvalRequest{Point: x})
 			if rec.Code != 200 {
 				t.Fatalf("eval without grid name status = %d, body %s", rec.Code, rec.Body)
 			}
 
 			xs := workload.Points(3, 10, 3)
-			rec = postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g3", Points: xs})
+			rec = postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g3", Points: xs})
 			if rec.Code != 200 {
 				t.Fatalf("batch status = %d, body %s", rec.Code, rec.Body)
 			}
-			var br batchResponse
+			var br BatchResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestServerEvalAndBatch(t *testing.T) {
 			}
 
 			// Empty batch is a valid no-op.
-			rec = postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g3", Points: [][]float64{}})
+			rec = postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g3", Points: [][]float64{}})
 			if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"values":[]`) {
 				t.Fatalf("empty batch: status %d body %s", rec.Code, rec.Body)
 			}
@@ -336,7 +336,7 @@ func TestServerErrorPaths(t *testing.T) {
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.status, rec.Body)
 			}
-			var er errorResponse
+			var er ErrorResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
 				t.Fatalf("error body not JSON: %v (%s)", err, rec.Body)
 			}
@@ -378,9 +378,9 @@ func TestServerGridsHealthzMetrics(t *testing.T) {
 	}
 
 	// Generate traffic (one ok, one error), then check the exposition.
-	postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
-	postJSON(t, h, "/v1/eval", evalRequest{Grid: "none", Point: []float64{0.5, 0.5}})
-	postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g2", Points: workload.Points(1, 5, 2)})
+	postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+	postJSON(t, h, "/v1/eval", EvalRequest{Grid: "none", Point: []float64{0.5, 0.5}})
+	postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g2", Points: workload.Points(1, 5, 2)})
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -421,13 +421,26 @@ func TestServerShutdownDrainsInflight(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: xs[k]})
+			rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g3", Point: xs[k]})
 			results[k] = result{rec.Code, rec.Body.String()}
 		}(k)
 	}
-	// Give the handlers time to enqueue into the open batch.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.met.requests.With("eval", "json").Value() < uint64(len(xs)) && time.Now().Before(deadline) {
+	// Wait until the open batch has accepted every call. The request
+	// counter is no signal: it ticks before the handler has decoded the
+	// body and reached the batcher, so Close could still refuse a call.
+	accepted := func() int {
+		s.mu.Lock()
+		gb := s.batchers["g3"]
+		s.mu.Unlock()
+		if gb == nil {
+			return 0
+		}
+		gb.b.mu.Lock()
+		defer gb.b.mu.Unlock()
+		return gb.b.accepted
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for accepted() < len(xs) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if err := s.Close(); err != nil {
@@ -439,7 +452,7 @@ func TestServerShutdownDrainsInflight(t *testing.T) {
 		if r.code != 200 {
 			t.Fatalf("request %d: status %d body %s (in-flight request dropped on shutdown)", k, r.code, r.body)
 		}
-		var er evalResponse
+		var er EvalResponse
 		if err := json.Unmarshal([]byte(r.body), &er); err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +463,7 @@ func TestServerShutdownDrainsInflight(t *testing.T) {
 	}
 
 	// After Close, new eval requests are refused with 503.
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: xs[0]})
+	rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g3", Point: xs[0]})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown status = %d, want 503", rec.Code)
 	}
@@ -470,11 +483,11 @@ func TestServerEvictionKeepsServing(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for name, ref := range refs {
 			x := workload.Points(int64(round+1), 1, ref.Dim())[0]
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: name, Point: x})
+			rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: name, Point: x})
 			if rec.Code != 200 {
 				t.Fatalf("%s round %d: status %d body %s", name, round, rec.Code, rec.Body)
 			}
-			var er evalResponse
+			var er EvalResponse
 			json.Unmarshal(rec.Body.Bytes(), &er)
 			want, _ := ref.Evaluate(x)
 			if math.Abs(er.Value-want) > 1e-12 {

@@ -2,15 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -39,9 +35,9 @@ type Config struct {
 	// Default 8.
 	MaxResident int
 	// Coalesce enables micro-batching of /v1/eval requests. When
-	// false every request evaluates immediately on its own handler
-	// goroutine (the naive one-point-per-request path, kept for
-	// comparison with cmd/sgload).
+	// false every request is evaluated on its own as a one-point batch
+	// (the naive one-point-per-request path, kept for comparison with
+	// cmd/sgload).
 	Coalesce bool
 	// MaxBatch is the micro-batch size cap. Default 256.
 	MaxBatch int
@@ -145,13 +141,14 @@ type Server struct {
 	mux    *http.ServeMux
 	tracer *obs.Tracer
 	online *onlineSet // nil unless cfg.Online.Enabled
+	inst   *Instrument
 
 	mu       sync.Mutex
 	batchers map[string]*gridBatcher
 	closed   bool
 	drains   sync.WaitGroup // background batcher drains after eviction
 
-	// batchEvalGate, when non-nil, runs on the detached eval goroutine
+	// batchEvalGate, when non-nil, runs on evaluate's detached goroutine
 	// right before EvaluateBatch. It exists so the use-after-release
 	// regression tests can hold an eval mid-flight while the request
 	// times out and the grid is evicted. Set before serving traffic.
@@ -299,6 +296,18 @@ func New(cfg Config) *Server {
 		}
 	}
 
+	s.inst = &Instrument{
+		Tracer:       s.tracer,
+		Requests:     s.met.requests,
+		Errors:       s.met.errors,
+		Latency:      s.met.latency,
+		Panics:       s.met.panics,
+		ErrorLog:     cfg.ErrorLog,
+		Status:       statusFor,
+		Finish:       s.finishSpan,
+		OnWriteError: s.countWriteError,
+	}
+
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -313,9 +322,9 @@ func New(cfg Config) *Server {
 	}
 	mux.Handle("GET /debug/traces", s.tracer.Handler())
 	mux.HandleFunc("GET /v1/grids", s.instrument("grids", s.handleGrids))
-	mux.HandleFunc("POST /v1/eval", s.instrument("eval", s.handleEval))
-	mux.HandleFunc("POST /v1/eval/batch", s.instrument("batch", s.handleEvalBatch))
-	mux.HandleFunc("POST /v1/eval/bin", s.instrumentRaw("eval_bin", "bin", s.handleEvalBin))
+	mux.HandleFunc("POST /v1/eval", s.instrument("eval", s.handleEvalJSON(false)))
+	mux.HandleFunc("POST /v1/eval/batch", s.instrument("batch", s.handleEvalJSON(true)))
+	mux.HandleFunc("POST /v1/eval/bin", s.inst.Wrap("eval_bin", "bin", s.handleEvalBin))
 	if cfg.Online.Enabled {
 		s.online = newOnlineSet(s, cfg.Online)
 		mux.HandleFunc("POST /v1/grids/{name}/observe", s.instrument("observe", s.handleObserve))
@@ -339,7 +348,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if len(versions) == 0 {
 		versions = nil
 	}
-	s.writeJSON(w, http.StatusOK, struct {
+	s.inst.WriteJSON(w, http.StatusOK, struct {
 		Status   string            `json:"status"`
 		ShardID  string            `json:"shard_id,omitempty"`
 		Resident int               `json:"resident"`
@@ -541,48 +550,14 @@ func (s *Server) retireLocked(gb *gridBatcher) {
 // ---------------------------------------------------------------------
 // handlers
 
-type evalRequest struct {
-	Grid  string    `json:"grid"`
-	Point []float64 `json:"point"`
-}
-
-type evalResponse struct {
-	Value float64 `json:"value"`
-}
-
-type batchRequest struct {
-	Grid   string      `json:"grid"`
-	Points [][]float64 `json:"points"`
-}
-
-type batchResponse struct {
-	Values []float64 `json:"values"`
-}
-
 type gridsResponse struct {
 	Grids []GridInfo `json:"grids"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// httpError carries a status code through the handler helpers.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func httpErrorf(status int, format string, args ...any) *httpError {
-	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// instrument wraps a JSON handler with the full instrumentation stack
-// (see instrumentRaw) plus the shared JSON success encoding.
+// instrument wraps a JSON handler with the instrumentation stack plus
+// the shared JSON success encoding.
 func (s *Server) instrument(name string, h func(*http.Request) (any, error)) http.HandlerFunc {
-	return s.instrumentRaw(name, "json", func(w http.ResponseWriter, r *http.Request) error {
+	return s.inst.Wrap(name, "json", func(w http.ResponseWriter, r *http.Request) error {
 		body, err := h(r)
 		if err != nil {
 			return err
@@ -590,80 +565,18 @@ func (s *Server) instrument(name string, h func(*http.Request) (any, error)) htt
 		sp := obs.FromContext(r.Context())
 		sp.SetStatus(http.StatusOK)
 		sp.Begin(obs.StageEncode)
-		s.writeJSON(w, http.StatusOK, body)
+		s.inst.WriteJSON(w, http.StatusOK, body)
 		sp.End(obs.StageEncode)
 		return nil
 	})
 }
 
-// instrumentRaw wraps a handler with request counting (labeled by
-// handler and wire protocol), latency observation, error accounting,
-// panic recovery, span lifecycle and (when configured) structured
-// access logging. The handler writes its own success response (and is
-// responsible for the span's status + encode stage); errors it returns
-// are rendered as JSON error bodies with the mapped status.
-//
-// Panics must be caught here, not left to net/http: the http.Server
-// recovery aborts the connection without writing a response, so the
-// client would see a dropped connection, no error would be counted and
-// the request's latency would never be observed.
-func (s *Server) instrumentRaw(name, protocol string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	reqs := s.met.requests.With(name, protocol)
-	errs := s.met.errors.With(name)
-	lat := s.met.latency.With(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqs.Inc()
-		sp := s.tracer.Start(name)
-		if sp != nil {
-			// The middleware chain may already have stamped a
-			// (proxy-propagated) request ID; keep it if so.
-			if w.Header().Get("X-Request-Id") == "" {
-				w.Header().Set("X-Request-Id", strconv.FormatUint(sp.ID(), 10))
-			}
-			// Record the inbound request ID too, so a proxied request is
-			// findable in this shard's /debug/traces under the same ID
-			// the proxy logged (requires the proxy to be listed in
-			// -trusted-proxies, or the middleware replaces the header).
-			if ext := r.Header.Get("X-Request-Id"); ext != "" {
-				sp.SetExtID(ext)
-			}
-			r = r.WithContext(obs.NewContext(r.Context(), sp))
-		}
-		status := http.StatusOK
-		defer func() {
-			if p := recover(); p != nil {
-				status = http.StatusInternalServerError
-				errs.Inc()
-				s.met.panics.Inc()
-				s.cfg.ErrorLog.LogAttrs(r.Context(), slog.LevelError, "handler panic",
-					slog.String("handler", name),
-					slog.Uint64("request_id", sp.ID()),
-					slog.String("panic", fmt.Sprint(p)),
-					slog.String("stack", string(debug.Stack())))
-				sp.SetStatus(status)
-				s.writeJSON(w, status, errorResponse{Error: "internal server error"})
-			}
-			total := time.Since(start)
-			lat.Observe(total.Seconds())
-			s.finishSpan(r.Context(), sp, name, status, total)
-		}()
-		if err := h(w, r); err != nil {
-			errs.Inc()
-			status = statusFor(err)
-			sp.SetError(err)
-			sp.SetStatus(status)
-			s.writeJSON(w, status, errorResponse{Error: err.Error()})
-		}
-	}
-}
-
 // statusFor maps handler errors to HTTP status codes.
 func statusFor(err error) int {
-	var he *httpError
+	var se *StatusError
 	switch {
-	case errors.As(err, &he):
-		return he.status
+	case errors.As(err, &se):
+		return se.Status
 	case errors.Is(err, ErrUnknownGrid):
 		return http.StatusNotFound
 	case errors.Is(err, ErrClosed):
@@ -677,8 +590,8 @@ func statusFor(err error) int {
 }
 
 // finishSpan feeds the span's stage durations into the
-// sgserve_stage_seconds histograms, emits the access log line, and
-// recycles the span. Runs once per request, panic or not.
+// sgserve_stage_seconds histograms and emits the access log line. Runs
+// once per request, panic or not.
 func (s *Server) finishSpan(ctx context.Context, sp *obs.Span, name string, status int, total time.Duration) {
 	if sp != nil {
 		for st := obs.Stage(0); st < obs.NumStages; st++ {
@@ -710,53 +623,16 @@ func (s *Server) finishSpan(ctx context.Context, sp *obs.Span, name string, stat
 		}
 		s.cfg.AccessLog.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
 	}
-	sp.Finish()
 }
 
-// writeJSON renders a JSON response body. Encoder errors after
-// WriteHeader mean the client received a truncated body under an
-// already-committed (often 200) status — invisible in the status-code
-// metrics, so they are counted separately and logged at debug.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil {
-		s.countWriteError("json", status, err)
-	}
-}
-
-// countWriteError records a response body that failed mid-write.
+// countWriteError records a response body that failed mid-write: the
+// client received a truncated body under an already-committed status.
 func (s *Server) countWriteError(protocol string, status int, err error) {
 	s.met.writeErrs.Inc()
 	s.cfg.ErrorLog.LogAttrs(context.Background(), slog.LevelDebug, "response write failed",
 		slog.String("protocol", protocol),
 		slog.Int("status", status),
 		slog.String("error", err.Error()))
-}
-
-// decodeJSON reads the body with the configured size cap. The body
-// must hold exactly one JSON value: an empty body and trailing data
-// after the value (`{"point":[0.5]}junk`) are both 400s — a decoder
-// left to its own devices stops at the end of the first value and
-// would silently accept the garbage.
-func (s *Server) decodeJSON(r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return httpErrorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		if errors.Is(err, io.EOF) {
-			return httpErrorf(http.StatusBadRequest, "empty request body")
-		}
-		return httpErrorf(http.StatusBadRequest, "invalid JSON request: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return httpErrorf(http.StatusBadRequest, "request body contains data after the JSON value")
-	}
-	return nil
 }
 
 // resolveGrid fills in the default grid name when exactly one grid is
@@ -769,17 +645,21 @@ func (s *Server) resolveGrid(name string) (string, error) {
 	if len(names) == 1 {
 		return names[0], nil
 	}
-	return "", httpErrorf(http.StatusBadRequest, "request must name a grid (%d registered)", len(names))
+	return "", Errorf(http.StatusBadRequest, "request must name a grid (%d registered)", len(names))
 }
 
-// validatePoint checks dimensionality and the [0,1]^d domain.
-func validatePoint(x []float64, dim int, k int) error {
-	if len(x) != dim {
-		return httpErrorf(http.StatusBadRequest, "point %d has %d coordinates, grid has %d dimensions", k, len(x), dim)
-	}
-	for t, v := range x {
-		if v < 0 || v > 1 || v != v { // v != v catches NaN
-			return httpErrorf(http.StatusBadRequest, "point %d coordinate %d = %g outside the domain [0,1]", k, t, v)
+// validate checks every point's dimensionality and the [0,1]^d domain.
+func validate(sp *obs.Span, dim int, pts [][]float64) error {
+	sp.Begin(obs.StageValidate)
+	defer sp.End(obs.StageValidate)
+	for k, x := range pts {
+		if len(x) != dim {
+			return Errorf(http.StatusBadRequest, "point %d has %d coordinates, grid has %d dimensions", k, len(x), dim)
+		}
+		for t, v := range x {
+			if v < 0 || v > 1 || v != v { // v != v catches NaN
+				return Errorf(http.StatusBadRequest, "point %d coordinate %d = %g outside the domain [0,1]", k, t, v)
+			}
 		}
 	}
 	return nil
@@ -789,163 +669,140 @@ func (s *Server) handleGrids(_ *http.Request) (any, error) {
 	return gridsResponse{Grids: s.grids.Info()}, nil
 }
 
-func (s *Server) handleEval(r *http.Request) (any, error) {
-	sp := obs.FromContext(r.Context())
-	var req evalRequest
-	sp.Begin(obs.StageDecode)
-	err := s.decodeJSON(r, &req)
-	sp.End(obs.StageDecode)
-	if err != nil {
-		return nil, err
-	}
-	name, err := s.resolveGrid(req.Grid)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetGrid(name)
-	sp.SetPoints(1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	if !s.cfg.Coalesce {
-		lease, err := s.grids.Acquire(ctx, name)
+// handleEvalJSON serves POST /v1/eval (batch false: one point, through
+// the coalescer when Config.Coalesce is set) and POST /v1/eval/batch.
+func (s *Server) handleEvalJSON(batch bool) func(*http.Request) (any, error) {
+	coalesce := s.cfg.Coalesce && !batch
+	return func(r *http.Request) (any, error) {
+		sp := obs.FromContext(r.Context())
+		sp.Begin(obs.StageDecode)
+		grid, pts, err := DecodeEval(r, s.cfg.MaxBodyBytes, batch)
+		sp.End(obs.StageDecode)
 		if err != nil {
 			return nil, err
 		}
-		// A defer is safe here (unlike handleEvalBatch/handleEvalBin):
-		// Evaluate runs synchronously on this goroutine, so the lease
-		// cannot be released while the read is still in flight.
-		defer lease.Release()
-		g := lease.Grid()
-		sp.Begin(obs.StageValidate)
-		err = validatePoint(req.Point, g.Dim(), 0)
-		sp.End(obs.StageValidate)
+		name, err := s.resolveGrid(grid)
 		if err != nil {
 			return nil, err
 		}
-		sp.Begin(obs.StageEval)
-		v, err := g.Evaluate(req.Point)
-		sp.End(obs.StageEval)
-		if err != nil {
+		out := make([]float64, len(pts))
+		if err := s.evaluate(r.Context(), sp, name, pts, out, coalesce); err != nil {
 			return nil, err
 		}
-		sp.SetBatchSize(1)
-		s.met.batchSize.Observe(1)
-		s.met.points.Inc()
-		return evalResponse{Value: v}, nil
-	}
-
-	// An ErrClosed from submit normally means "this batcher was retired
-	// because its grid instance was evicted between lookup and enqueue";
-	// retry against a freshly attached batcher (bounded by ctx). Only a
-	// server-wide Close surfaces ErrClosed to the client. Queue wait,
-	// dispatch, eval and batch size are recorded on the span by submit,
-	// from the timings the flush loop hands back.
-	for {
-		b, err := s.batcherFor(ctx, name)
-		if err != nil {
-			return nil, err
+		if batch {
+			return BatchResponse{Values: out}, nil
 		}
-		sp.Begin(obs.StageValidate)
-		err = validatePoint(req.Point, b.grid.Dim(), 0)
-		sp.End(obs.StageValidate)
-		if err != nil {
-			return nil, err
-		}
-		v, err := b.submit(ctx, req.Point)
-		if errors.Is(err, ErrClosed) && !s.isClosed() {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return evalResponse{Value: v}, nil
+		return EvalResponse{Value: out[0]}, nil
 	}
 }
 
-func (s *Server) handleEvalBatch(r *http.Request) (any, error) {
-	sp := obs.FromContext(r.Context())
-	var req batchRequest
-	sp.Begin(obs.StageDecode)
-	err := s.decodeJSON(r, &req)
-	sp.End(obs.StageDecode)
-	if err != nil {
-		return nil, err
-	}
-	name, err := s.resolveGrid(req.Grid)
-	if err != nil {
-		return nil, err
-	}
+// evaluate is the one executor behind /v1/eval, /v1/eval/batch and
+// /v1/eval/bin. It evaluates pts on the grid registered as name into
+// out (len(out) == len(pts)) within Config.RequestTimeout, and records
+// the validate, dispatch and eval stages on sp and the batch-size and
+// points metrics. With coalesce set, the single point goes through the
+// grid's micro-batcher instead (see coalesce), whose flush loop
+// evaluates and records.
+//
+// Lease discipline: the evaluation runs on a detached goroutine that
+// owns the grid lease, never on the caller's. When the request times
+// out, evaluate returns while EvaluateBatch may still be reading the
+// grid; if the grid was LRU-evicted mid-flight, releasing its last
+// lease then would munmap the snapshot payload under the running read
+// (SIGSEGV). The goroutine releases the lease as soon as EvaluateBatch
+// returns — out is heap memory, not the mapping — and BEFORE delivering
+// the result, so a caller holding its answer never sees the mapping
+// still pinned by its own request.
+//
+// Ownership: when evaluate returns a context error, the evaluation may
+// still be running, and pts and out stay owned by it. The caller must
+// not reuse them; the bin handler abandons its frame to the GC instead
+// of returning it to the pool.
+func (s *Server) evaluate(ctx context.Context, sp *obs.Span, name string, pts [][]float64, out []float64, coalesce bool) error {
+	n := len(pts)
 	sp.SetGrid(name)
-	sp.SetPoints(len(req.Points))
-	if len(req.Points) == 0 {
-		return batchResponse{Values: []float64{}}, nil
+	sp.SetPoints(n)
+	if n > s.cfg.MaxBatchPoints {
+		return Errorf(http.StatusRequestEntityTooLarge,
+			"batch of %d points exceeds the per-request cap of %d", n, s.cfg.MaxBatchPoints)
 	}
-	if len(req.Points) > s.cfg.MaxBatchPoints {
-		return nil, httpErrorf(http.StatusRequestEntityTooLarge,
-			"batch of %d points exceeds the per-request cap of %d", len(req.Points), s.cfg.MaxBatchPoints)
+	if n == 0 {
+		return nil
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
+	if coalesce {
+		return s.coalesce(ctx, sp, name, pts, out)
+	}
 	lease, err := s.grids.Acquire(ctx, name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	g := lease.Grid()
-	sp.Begin(obs.StageValidate)
-	for k, x := range req.Points {
-		if err := validatePoint(x, g.Dim(), k); err != nil {
-			sp.End(obs.StageValidate)
-			lease.Release()
-			return nil, err
-		}
+	if err := validate(sp, g.Dim(), pts); err != nil {
+		lease.Release()
+		return err
 	}
-	sp.End(obs.StageValidate)
-
-	// Evaluation timings come back over the channel rather than being
-	// written into sp by the worker goroutine: on ctx expiry the
-	// handler returns (and recycles the span) while the evaluation may
-	// still be running.
-	type res struct {
-		vals      []float64
-		err       error
-		evalStart time.Time
-		evalDur   time.Duration
+	// Timings come back over the channel instead of being written into
+	// sp by the goroutine: on timeout the caller recycles the span while
+	// the evaluation may still be running.
+	type result struct {
+		err   error
+		start time.Time
+		dur   time.Duration
 	}
 	dispatched := time.Now()
-	ch := make(chan res, 1)
-	// The lease is released by the eval goroutine, NOT by a handler
-	// defer: when the request times out the handler returns while
-	// EvaluateBatch is still reading the grid, and if the grid was
-	// LRU-evicted mid-flight, releasing the last lease munmaps its
-	// snapshot payload under the running read (SIGSEGV). Holding the
-	// lease until EvaluateBatch returns keeps the mapping alive exactly
-	// as long as anything dereferences it.
+	ch := make(chan result, 1)
 	go func() {
 		if s.batchEvalGate != nil {
 			s.batchEvalGate(name)
 		}
 		t0 := time.Now()
-		vals, err := g.EvaluateBatch(req.Points, nil)
-		// Release BEFORE delivering the result: vals no longer reference
-		// the mapping, and releasing first means a caller that saw the
-		// response can never observe the mapping still pinned by its own
-		// already-answered request.
+		_, err := g.EvaluateBatch(pts, out)
 		lease.Release()
-		ch <- res{vals, err, t0, time.Since(t0)}
+		ch <- result{err, t0, time.Since(t0)}
 	}()
 	select {
-	case out := <-ch:
-		sp.Add(obs.StageDispatch, out.evalStart.Sub(dispatched))
-		sp.Add(obs.StageEval, out.evalDur)
-		sp.SetBatchSize(len(req.Points))
-		if out.err != nil {
-			return nil, out.err
+	case res := <-ch:
+		sp.Add(obs.StageDispatch, res.start.Sub(dispatched))
+		sp.Add(obs.StageEval, res.dur)
+		sp.SetBatchSize(n)
+		if res.err != nil {
+			return res.err
 		}
-		s.met.batchSize.Observe(float64(len(req.Points)))
-		s.met.points.Add(uint64(len(req.Points)))
-		return batchResponse{Values: out.vals}, nil
+		s.met.batchSize.Observe(float64(n))
+		s.met.points.Add(uint64(n))
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
+	}
+}
+
+// coalesce is evaluate's optional front stage for one point: the grid's
+// micro-batcher evaluates it together with concurrent requests. An
+// ErrClosed from submit normally means "this batcher was retired because
+// its grid instance was evicted between lookup and enqueue"; retry
+// against a freshly attached batcher (bounded by ctx). Only a
+// server-wide Close surfaces ErrClosed to the client. Queue wait,
+// dispatch, eval and batch size are recorded on the span by submit,
+// from the timings the flush loop hands back.
+func (s *Server) coalesce(ctx context.Context, sp *obs.Span, name string, pts [][]float64, out []float64) error {
+	for {
+		b, err := s.batcherFor(ctx, name)
+		if err != nil {
+			return err
+		}
+		if err := validate(sp, b.grid.Dim(), pts); err != nil {
+			return err
+		}
+		v, err := b.submit(ctx, pts[0])
+		if errors.Is(err, ErrClosed) && !s.isClosed() {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		out[0] = v
+		return nil
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -119,6 +118,7 @@ type Proxy struct {
 	state  atomic.Pointer[routeState]
 	mux    *http.ServeMux
 	tracer *obs.Tracer
+	inst   *serve.Instrument
 	httpc  *http.Client // health probes and /v1/grids fan-out (not the hot path)
 	writec *http.Client // observe/refine relay; longer timeout than probes
 
@@ -135,6 +135,7 @@ type proxyMetrics struct {
 	requests  *metrics.CounterVec
 	errors    *metrics.CounterVec
 	latency   *metrics.HistogramVec
+	panics    *metrics.Counter
 	upReq     *metrics.CounterVec
 	upFail    *metrics.CounterVec
 	retries   *metrics.Counter
@@ -167,6 +168,7 @@ func New(cfg Config, t Topology) (*Proxy, error) {
 		requests:  r.NewCounterVec("sgproxy_requests_total", "Client requests received, by handler and wire protocol (json or bin).", "handler", "protocol"),
 		errors:    r.NewCounterVec("sgproxy_errors_total", "Client requests answered with a non-2xx status, by handler.", "handler"),
 		latency:   r.NewHistogramVec("sgproxy_request_seconds", "Client request latency in seconds, by handler.", "handler", metrics.DefLatencyBuckets),
+		panics:    r.NewCounter("sgproxy_panics_total", "Handler panics recovered by the instrumentation wrapper (each answered with a 500)."),
 		upReq:     r.NewCounterVec("sgproxy_upstream_requests_total", "Upstream attempts, by shard ID.", "shard"),
 		upFail:    r.NewCounterVec("sgproxy_upstream_failures_total", "Upstream attempts that failed (transport error, 502 or 503), by shard ID.", "shard"),
 		retries:   r.NewCounter("sgproxy_retries_total", "Requests retried on a replica after an upstream attempt failed."),
@@ -181,16 +183,34 @@ func New(cfg Config, t Topology) (*Proxy, error) {
 	p.met.epoch.Set(float64(t.Epoch))
 	p.met.healthy.Set(float64(len(t.Shards)))
 
+	p.inst = &serve.Instrument{
+		Tracer:   p.tracer,
+		Requests: p.met.requests,
+		Errors:   p.met.errors,
+		Latency:  p.met.latency,
+		Panics:   p.met.panics,
+		ErrorLog: cfg.ErrorLog,
+		// Every proxy handler error is a StatusError; anything else is
+		// an upstream failure the proxy could not translate.
+		Status: func(err error) int {
+			var se *serve.StatusError
+			if errors.As(err, &se) {
+				return se.Status
+			}
+			return http.StatusBadGateway
+		},
+	}
+
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", p.handleHealthz)
 	mux.Handle("GET /metrics", r.Handler())
 	mux.Handle("GET /debug/traces", p.tracer.Handler())
 	mux.HandleFunc("GET /v1/grids", p.handleGrids)
-	mux.HandleFunc("POST /v1/eval", p.instrument("eval", "json", p.handleEvalJSON))
-	mux.HandleFunc("POST /v1/eval/batch", p.instrument("batch", "json", p.handleBatchJSON))
-	mux.HandleFunc("POST /v1/eval/bin", p.instrument("eval_bin", "bin", p.handleEvalBin))
-	mux.HandleFunc("POST /v1/grids/{name}/observe", p.instrument("observe", "json", p.handleObserveRelay))
-	mux.HandleFunc("POST /v1/grids/{name}/refine", p.instrument("refine", "json", p.handleRefineRelay))
+	mux.HandleFunc("POST /v1/eval", p.inst.Wrap("eval", "json", p.handleEvalJSON("eval", false)))
+	mux.HandleFunc("POST /v1/eval/batch", p.inst.Wrap("batch", "json", p.handleEvalJSON("batch", true)))
+	mux.HandleFunc("POST /v1/eval/bin", p.inst.Wrap("eval_bin", "bin", p.handleEvalBin))
+	mux.HandleFunc("POST /v1/grids/{name}/observe", p.inst.Wrap("observe", "json", p.handleObserveRelay))
+	mux.HandleFunc("POST /v1/grids/{name}/refine", p.inst.Wrap("refine", "json", p.handleRefineRelay))
 	mux.HandleFunc("GET /admin/topology", p.handleTopologyGet)
 	mux.HandleFunc("POST /admin/topology", p.handleTopologySet)
 	p.mux = mux
@@ -415,105 +435,13 @@ func (p *Proxy) forward(rs *routeState, pb *proxyBuf, frame []byte, name []byte,
 	return 0, lastErr
 }
 
-// readClientBody drains r into pb.raw without steady-state allocations.
-func readClientBody(pb *proxyBuf, r io.Reader) error {
-	buf := pb.raw[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), 2*cap(buf))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			pb.raw = buf
-			return nil
-		}
-		if err != nil {
-			pb.raw = buf
-			return err
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // handlers
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-type proxyError struct {
-	status int
-	msg    string
-}
-
-func (e *proxyError) Error() string { return e.msg }
-
-func errorf(status int, format string, args ...any) *proxyError {
-	return &proxyError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-func statusFor(err error) int {
-	var pe *proxyError
-	if errors.As(err, &pe) {
-		return pe.status
-	}
-	return http.StatusBadGateway
-}
-
-// instrument wraps a handler with request counting, latency, span
-// lifecycle and panic recovery. The handler writes its own success
-// response; returned errors render as {"error": ...} JSON.
-func (p *Proxy) instrument(name, protocol string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	reqs := p.met.requests.With(name, protocol)
-	errs := p.met.errors.With(name)
-	lat := p.met.latency.With(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqs.Inc()
-		sp := p.tracer.Start(name)
-		if sp != nil {
-			sp.SetExtID(r.Header.Get("X-Request-Id"))
-			r = r.WithContext(obs.NewContext(r.Context(), sp))
-		}
-		defer func() {
-			if pan := recover(); pan != nil {
-				errs.Inc()
-				p.cfg.ErrorLog.LogAttrs(r.Context(), slog.LevelError, "proxy handler panic",
-					slog.String("handler", name),
-					slog.String("panic", fmt.Sprint(pan)),
-					slog.String("stack", string(debug.Stack())))
-				sp.SetStatus(http.StatusInternalServerError)
-				writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal server error"})
-			}
-			lat.Observe(time.Since(start).Seconds())
-			sp.Finish()
-		}()
-		if err := h(w, r); err != nil {
-			errs.Inc()
-			status := statusFor(err)
-			sp.SetError(err)
-			sp.SetStatus(status)
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-		}
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
 
 // relayUpstream writes the upstream's response (binary values frame or
 // JSON error body) to the client verbatim. Relayed error statuses are
 // counted toward sgproxy_errors_total here because they return nil from
-// the handler and never take instrument's error path.
+// the handler and never take the instrumentation's error path.
 func (p *Proxy) relayUpstream(w http.ResponseWriter, sp *obs.Span, pb *proxyBuf, handler string, status int) {
 	if status >= 400 {
 		// Off the 2xx hot path, so the vec lookup's map lock is fine.
@@ -532,6 +460,19 @@ func (p *Proxy) relayUpstream(w http.ResponseWriter, sp *obs.Span, pb *proxyBuf,
 	sp.End(obs.StageEncode)
 }
 
+// forwardFrame routes frame by the grid name and forwards it, timing
+// the dispatch stage. Only a failure of every candidate shard is an
+// error; any upstream answer comes back as its status.
+func (p *Proxy) forwardFrame(sp *obs.Span, pb *proxyBuf, frame, name []byte, r *http.Request) (int, error) {
+	sp.Begin(obs.StageDispatch)
+	status, err := p.forward(p.state.Load(), pb, frame, name, r.Header.Get("X-Request-Id"))
+	sp.End(obs.StageDispatch)
+	if err != nil {
+		return 0, serve.Errorf(http.StatusBadGateway, "no shard answered for grid %q: %v", name, err)
+	}
+	return status, nil
+}
+
 // handleEvalBin forwards a client binary frame verbatim: peek the grid
 // name for routing, pick the owner, one upstream round trip, relay the
 // response bytes. The steady-state cost is the frame copy — zero
@@ -542,158 +483,73 @@ func (p *Proxy) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	defer proxyBufPool.Put(pb)
 
 	sp.Begin(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	err := readClientBody(pb, r.Body)
+	var err error
 	var name []byte
+	pb.raw, err = serve.ReadBody(pb.raw, http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes))
 	if err == nil {
-		name, err = serve.FrameGridName(pb.raw)
+		if name, err = serve.FrameGridName(pb.raw); err != nil {
+			err = serve.Errorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		}
 	}
 	sp.End(obs.StageDecode)
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		return errorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		return err
 	}
-
-	rs := p.state.Load()
-	sp.Begin(obs.StageDispatch)
-	status, err := p.forward(rs, pb, pb.raw, name, r.Header.Get("X-Request-Id"))
-	sp.End(obs.StageDispatch)
+	status, err := p.forwardFrame(sp, pb, pb.raw, name, r)
 	if err != nil {
-		return errorf(http.StatusBadGateway, "no shard answered for grid %q: %v", name, err)
+		return err
 	}
 	p.relayUpstream(w, sp, pb, "eval_bin", status)
 	return nil
 }
 
-type evalRequest struct {
-	Grid  string    `json:"grid"`
-	Point []float64 `json:"point"`
-}
-
-type batchRequest struct {
-	Grid   string      `json:"grid"`
-	Points [][]float64 `json:"points"`
-}
-
-// handleEvalJSON terminates a JSON single-point request and forwards
-// it upstream as a binary frame; the response frame is translated back
-// to {"value": ...} so clients cannot tell the proxy re-encoded.
-func (p *Proxy) handleEvalJSON(w http.ResponseWriter, r *http.Request) error {
-	sp := obs.FromContext(r.Context())
-	pb := proxyBufPool.Get().(*proxyBuf)
-	defer proxyBufPool.Put(pb)
-
-	var req evalRequest
-	if err := p.decodeJSON(sp, pb, r, &req); err != nil {
-		return err
-	}
-	pb.frame = serve.AppendEvalFrame(pb.frame[:0], req.Grid, [][]float64{req.Point})
-	vals, status, err := p.forwardFrame(sp, pb, req.Grid, r)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		p.relayUpstream(w, sp, pb, "eval", status)
-		return nil
-	}
-	if len(vals) != 1 {
-		return errorf(http.StatusBadGateway, "shard answered %d values for a single-point request", len(vals))
-	}
-	p.met.points.Add(1)
-	sp.SetStatus(http.StatusOK)
-	sp.Begin(obs.StageEncode)
-	writeJSON(w, http.StatusOK, struct {
-		Value float64 `json:"value"`
-	}{vals[0]})
-	sp.End(obs.StageEncode)
-	return nil
-}
-
-// handleBatchJSON is handleEvalJSON for point batches.
-func (p *Proxy) handleBatchJSON(w http.ResponseWriter, r *http.Request) error {
-	sp := obs.FromContext(r.Context())
-	pb := proxyBufPool.Get().(*proxyBuf)
-	defer proxyBufPool.Put(pb)
-
-	var req batchRequest
-	if err := p.decodeJSON(sp, pb, r, &req); err != nil {
-		return err
-	}
-	pb.frame = serve.AppendEvalFrame(pb.frame[:0], req.Grid, req.Points)
-	vals, status, err := p.forwardFrame(sp, pb, req.Grid, r)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		p.relayUpstream(w, sp, pb, "batch", status)
-		return nil
-	}
-	p.met.points.Add(uint64(len(vals)))
-	sp.SetStatus(http.StatusOK)
-	sp.Begin(obs.StageEncode)
-	if vals == nil {
-		vals = []float64{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Values []float64 `json:"values"`
-	}{vals})
-	sp.End(obs.StageEncode)
-	return nil
-}
-
-func (p *Proxy) decodeJSON(sp *obs.Span, pb *proxyBuf, r *http.Request, dst any) error {
-	sp.Begin(obs.StageDecode)
-	defer sp.End(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	if err := readClientBody(pb, r.Body); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
+// handleEvalJSON terminates a JSON /v1/eval (batch false) or
+// /v1/eval/batch request and forwards it upstream as a binary frame;
+// the values frame is translated back to the JSON answer, so clients
+// cannot tell the proxy re-encoded. The request is decoded by the same
+// strict decoder the shard uses, so a malformed body fails here exactly
+// as it would there.
+func (p *Proxy) handleEvalJSON(handler string, batch bool) func(http.ResponseWriter, *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		sp := obs.FromContext(r.Context())
+		sp.Begin(obs.StageDecode)
+		grid, pts, err := serve.DecodeEval(r, p.cfg.MaxBodyBytes, batch)
+		sp.End(obs.StageDecode)
+		if err != nil {
+			return err
 		}
-		return errorf(http.StatusBadRequest, "reading request body: %v", err)
-	}
-	if len(pb.raw) == 0 {
-		return errorf(http.StatusBadRequest, "empty request body")
-	}
-	if err := json.Unmarshal(pb.raw, dst); err != nil {
-		return errorf(http.StatusBadRequest, "invalid JSON request: %v", err)
-	}
-	return nil
-}
-
-// forwardFrame forwards pb.frame for grid and, on a 200, parses the
-// values frame. Non-200 upstream answers come back with a nil slice
-// and the status for the caller to relay.
-func (p *Proxy) forwardFrame(sp *obs.Span, pb *proxyBuf, grid string, r *http.Request) ([]float64, int, error) {
-	sp.SetGrid(grid)
-	rs := p.state.Load()
-	sp.Begin(obs.StageDispatch)
-	status, err := p.forward(rs, pb, pb.frame, unsafeNameBytes(pb, grid), r.Header.Get("X-Request-Id"))
-	sp.End(obs.StageDispatch)
-	if err != nil {
-		return nil, 0, errorf(http.StatusBadGateway, "no shard answered for grid %q: %v", grid, err)
-	}
-	if status != http.StatusOK {
-		return nil, status, nil
-	}
-	vals, err := serve.ParseValuesFrame(pb.rt.resp)
-	if err != nil {
-		return nil, 0, errorf(http.StatusBadGateway, "shard sent an invalid values frame: %v", err)
-	}
-	return vals, status, nil
-}
-
-// unsafeNameBytes returns the grid name as bytes for ring routing. The
-// frame was just built from grid, so its name field is exactly grid's
-// bytes — alias them instead of converting the string.
-func unsafeNameBytes(pb *proxyBuf, grid string) []byte {
-	if len(grid) == 0 {
+		sp.SetGrid(grid)
+		pb := proxyBufPool.Get().(*proxyBuf)
+		defer proxyBufPool.Put(pb)
+		pb.frame = serve.AppendEvalFrame(pb.frame[:0], grid, pts)
+		// The frame's name field is exactly grid's bytes: route on them
+		// instead of converting the string.
+		status, err := p.forwardFrame(sp, pb, pb.frame, pb.frame[2:2+len(grid)], r)
+		if err != nil {
+			return err
+		}
+		if status != http.StatusOK {
+			p.relayUpstream(w, sp, pb, handler, status)
+			return nil
+		}
+		vals, err := serve.ParseValuesFrame(pb.rt.resp)
+		if err != nil {
+			return serve.Errorf(http.StatusBadGateway, "shard sent an invalid values frame: %v", err)
+		}
+		if len(vals) != len(pts) {
+			return serve.Errorf(http.StatusBadGateway, "shard answered %d values for %d points", len(vals), len(pts))
+		}
+		p.met.points.Add(uint64(len(vals)))
+		sp.SetStatus(http.StatusOK)
+		sp.Begin(obs.StageEncode)
+		var body any = serve.BatchResponse{Values: vals}
+		if !batch {
+			body = serve.EvalResponse{Value: vals[0]}
+		}
+		p.inst.WriteJSON(w, http.StatusOK, body)
+		sp.End(obs.StageEncode)
 		return nil
 	}
-	return pb.frame[2 : 2+len(grid)]
 }
 
 // ---------------------------------------------------------------------
@@ -735,7 +591,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		resp.Status = "no shards available"
 	}
-	writeJSON(w, status, resp)
+	p.inst.WriteJSON(w, status, resp)
 }
 
 // handleGrids relays GET /v1/grids from the first shard that answers
@@ -776,7 +632,7 @@ func (p *Proxy) handleGrids(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusBadGateway, errorResponse{Error: "no shard answered /v1/grids"})
+	p.inst.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: "no shard answered /v1/grids"})
 }
 
 // ---------------------------------------------------------------------
@@ -802,26 +658,21 @@ func (p *Proxy) relayWrite(w http.ResponseWriter, r *http.Request, verb string) 
 	sp := obs.FromContext(r.Context())
 	name := r.PathValue("name")
 	if name == "" {
-		return errorf(http.StatusBadRequest, "missing grid name")
+		return serve.Errorf(http.StatusBadRequest, "missing grid name")
 	}
 	sp.SetGrid(name)
 
 	sp.Begin(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := serve.ReadBody(nil, http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes))
 	sp.End(obs.StageDecode)
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		return errorf(http.StatusBadRequest, "reading request body: %v", err)
+		return err
 	}
 
 	rs := p.state.Load()
 	owners := rs.ring.OwnersInto(nil, []byte(name), p.cfg.Replicas)
 	if len(owners) == 0 {
-		return errorf(http.StatusServiceUnavailable, "no shard available for grid %q", name)
+		return serve.Errorf(http.StatusServiceUnavailable, "no shard available for grid %q", name)
 	}
 	// The first available owner is the write primary; with every owner
 	// sidelined, fall back to the ring primary so the client gets the
@@ -840,7 +691,7 @@ func (p *Proxy) relayWrite(w http.ResponseWriter, r *http.Request, verb string) 
 	url := "http://" + u.shard.Addr + "/v1/grids/" + name + "/" + verb
 	req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(body))
 	if err != nil {
-		return errorf(http.StatusInternalServerError, "building upstream request: %v", err)
+		return serve.Errorf(http.StatusInternalServerError, "building upstream request: %v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if id := r.Header.Get("X-Request-Id"); id != "" {
@@ -852,15 +703,15 @@ func (p *Proxy) relayWrite(w http.ResponseWriter, r *http.Request, verb string) 
 	sp.End(obs.StageDispatch)
 	if err != nil {
 		u.metFail.Inc()
-		return errorf(http.StatusBadGateway, "shard %s did not answer %s for grid %q: %v", u.shard.ID, verb, name, err)
+		return serve.Errorf(http.StatusBadGateway, "shard %s did not answer %s for grid %q: %v", u.shard.ID, verb, name, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		u.metFail.Inc()
 	}
 	if resp.StatusCode >= 400 {
-		// Relayed errors return nil below and skip instrument's error
-		// path; count them here like relayUpstream does.
+		// Relayed errors return nil below and skip the instrumentation's
+		// error path; count them here like relayUpstream does.
 		p.met.errors.With(verb).Inc()
 	}
 	sp.SetStatus(resp.StatusCode)
@@ -877,7 +728,7 @@ func (p *Proxy) relayWrite(w http.ResponseWriter, r *http.Request, verb string) 
 }
 
 func (p *Proxy) handleTopologyGet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, p.Topology())
+	p.inst.WriteJSON(w, http.StatusOK, p.Topology())
 }
 
 // handleTopologySet swaps the routing topology: POST a Topology JSON
@@ -887,7 +738,7 @@ func (p *Proxy) handleTopologySet(w http.ResponseWriter, r *http.Request) {
 	var t Topology
 	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid topology: %v", err)})
+		p.inst.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("invalid topology: %v", err)})
 		return
 	}
 	if err := p.SetTopology(t); err != nil {
@@ -895,11 +746,11 @@ func (p *Proxy) handleTopologySet(w http.ResponseWriter, r *http.Request) {
 		if t.Validate() == nil {
 			status = http.StatusConflict // structurally fine, stale epoch
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		p.inst.WriteJSON(w, status, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	// Re-poll immediately so a replacement shard turns routable without
 	// waiting out a full health interval.
 	p.pollHealth()
-	writeJSON(w, http.StatusOK, p.Topology())
+	p.inst.WriteJSON(w, http.StatusOK, p.Topology())
 }

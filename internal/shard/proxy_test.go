@@ -388,3 +388,45 @@ func TestProxyGrids(t *testing.T) {
 		t.Fatalf("%d grids relayed, want %d", len(resp.Grids), len(refs))
 	}
 }
+
+// TestProxyJSONMatchesDirect: a malformed JSON eval request must fail
+// the same way through the proxy as sent to a shard directly — same
+// status, same error body. The proxy re-frames JSON into the binary
+// protocol, and a frame cannot carry a ragged batch (one dimension per
+// frame: the shard would evaluate regrouped points and answer 200) or
+// a grid name over 256 bytes (a u16 length that wraps), so the shared
+// decoder must reject both before framing.
+func TestProxyJSONMatchesDirect(t *testing.T) {
+	shards, _ := startShards(t, 1)
+	p := newTestProxy(t, shards, Config{})
+	direct := shards[0].srv.Handler()
+	longName := strings.Repeat("n", 1<<16)
+
+	cases := []struct {
+		name, path, body string
+	}{
+		{"unknown field", "/v1/eval", `{"grid":"g0","point":[0.1,0.2],"pointz":1}`},
+		{"unknown field batch", "/v1/eval/batch", `{"grid":"g0","points":[[0.1,0.2]],"pointz":1}`},
+		{"trailing data", "/v1/eval", `{"grid":"g0","point":[0.1,0.2]}junk`},
+		{"empty body", "/v1/eval/batch", ``},
+		{"ragged batch", "/v1/eval/batch", `{"grid":"g0","points":[[0.1,0.2],[0.3,0.4,0.5],[0.6]]}`},
+		{"long grid name", "/v1/eval/batch", `{"grid":"` + longName + `","points":[[0.1,0.2]]}`},
+		{"point without coordinates", "/v1/eval", `{"grid":"g0","point":[]}`},
+		{"wrong dimension", "/v1/eval", `{"grid":"g0","point":[0.1,0.2,0.3]}`},
+		{"out of domain", "/v1/eval/batch", `{"grid":"g0","points":[[0.1,0.2],[0.3,1.5]]}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest("POST", c.path, strings.NewReader(c.body))
+			want := httptest.NewRecorder()
+			direct.ServeHTTP(want, req)
+			if want.Code < 400 || want.Code >= 500 {
+				t.Fatalf("direct: status %d body %s, want a client error", want.Code, want.Body)
+			}
+			got := proxyPost(p, c.path, "application/json", "", []byte(c.body))
+			if got.Code != want.Code || got.Body.String() != want.Body.String() {
+				t.Fatalf("proxied: %d %s\ndirect:  %d %s", got.Code, got.Body, want.Code, want.Body)
+			}
+		})
+	}
+}
