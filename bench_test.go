@@ -491,13 +491,15 @@ func BenchmarkHierarchizeBoundary(b *testing.B) {
 // Kernel trajectory matrix. scripts/bench_kernels.sh runs these (plus the
 // Fig. 9 pair) and emits BENCH_kernels.json, the machine-readable record
 // of ns/point for the two compact-layout hot kernels across refinement
-// levels 5–8 and d ∈ {2, 5, 10}. EXPERIMENTS.md §"Kernel trajectory"
-// tracks the numbers across PRs.
+// levels 5–8 and d ∈ {2, 5, 10}, plus the served d=5 level-9 and
+// level-10 grids. EXPERIMENTS.md §"Kernel trajectory" tracks the
+// numbers across PRs.
 
 var kernelMatrix = []struct{ dim, level int }{
 	{2, 5}, {2, 6}, {2, 7}, {2, 8},
 	{5, 5}, {5, 6}, {5, 7}, {5, 8},
 	{10, 5}, {10, 6}, {10, 7}, {10, 8},
+	{5, 9}, {5, 10},
 }
 
 // kernelParWorkers is the worker count of the parallel rows (hier "par",

@@ -205,17 +205,28 @@ func evalRange(g *core.Grid, xs [][]float64, out []float64) {
 // the block reads its one contribution. The basis tables are transposed
 // (blockTables), so the row a subspace selects for dimension t at level
 // l_t is one contiguous vector across the block, and every inner loop
-// streams over the block's points k:
+// streams over the block's points k.
 //
-//	idx_t[k] = idx_{t+1}[k]<<l_t + cell[k];  prod_t[k] = prod_{t+1}[k]·phi[k]
+// Dimensions d−1 … 2 fold into per-t prefixes of the coefficient index
+// and the basis product,
 //
-// for t = d−1 … 2, starting from idx_{d−1} = cell, prod_{d−1} = 1·φ = φ.
-// core.Next rewrites only a low range of the level vector, so these
-// prefixes are kept per t and refreshed only from the highest rewritten
-// dimension down. Dimensions 1 and 0 change with every subspace; they
-// are folded into a gather pass that forms each point's coefficient
-// index and full product, and a short accumulation pass then reads the
-// coefficients — loops that small keep many cache misses in flight.
+//	idx_t[k] = idx_{t+1}[k]·2^l_t + cell[k];  prod_t[k] = prod_{t+1}[k]·phi[k]
+//
+// starting from idx_{d−1} = cell, prod_{d−1} = 1·φ = φ. core.Next
+// rewrites only a low range of the level vector, so these prefixes are
+// kept per t and refreshed only from the highest rewritten dimension
+// down. Dimensions 1 and 0 change with every subspace; they are folded
+// into one fused pass that forms each point's index and product and
+// reads its coefficient:
+//
+//	out[k] += prod_2[k]·φ_1[k]·φ_0[k] · α[(idx_2[k]·2^l_1 + c_1[k])·2^l_0 + c_0[k]]
+//
+// Each pass is a small leaf function (prefixPass, accum1/2/3) kept out
+// of line, so its loop state stays in registers: inlined into sweep,
+// the loops reload slice pointers from sweep's stack frame on every
+// point and give back most of the gain (EXPERIMENTS.md). The level
+// widths 2^l_t are loop invariants the passes multiply by, so no loop
+// carries a variable shift.
 //
 // Per point the multiply and summation order is the one-point walk's
 // (prod = 1·φ_{d−1}·…·φ_0 left to right, res += prod·α subspace by
@@ -233,12 +244,12 @@ func sweep(g *core.Grid, xs [][]float64, out []float64, s *blockTables) {
 		r := (t*n + int(lt)) * m
 		return cell[r : r+m], phi[r : r+m]
 	}
-	// Slot t ≥ 2 of idx/prod holds the prefixes of dimension t, slot 0
-	// the gathered coefficient index and product; slot 1 is unused.
-	gi, gp := idx[:m], prod[:m]
-	for k := range out {
-		out[k] = 0
+	// slot returns the (idx, prod) prefixes of dimension t ≥ 2.
+	slot := func(t int) ([]int64, []float64) {
+		r := (t - 2) * m
+		return idx[r : r+m], prod[r : r+m]
 	}
+	clear(out)
 	var index2 int64 // running offset of the current subspace (index2+index3)
 	for grp := 0; grp < desc.Groups(); grp++ {
 		core.First(l, grp)
@@ -248,51 +259,28 @@ func sweep(g *core.Grid, xs [][]float64, out []float64, s *blockTables) {
 		for sub := int64(0); sub < nsub; sub++ {
 			for t := hi; t >= 2; t-- {
 				ct, pt := row(t, l[t])
-				ix, pr := idx[t*m:][:len(ct)], prod[t*m:][:len(ct)]
-				pt = pt[:len(ct)]
+				ix, pr := slot(t)
 				if t == d-1 {
 					copy(ix, ct)
 					copy(pr, pt)
 					continue
 				}
-				lt := uint32(l[t])
-				ixUp, prUp := idx[(t+1)*m:][:len(ct)], prod[(t+1)*m:][:len(ct)]
-				for k, c := range ct {
-					ix[k] = ixUp[k]<<lt + c
-					pr[k] = prUp[k] * pt[k]
-				}
-			}
-			l0 := uint32(l[0])
-			c0, p0 := row(0, l[0])
-			fi, fp := gi[:len(c0)], gp[:len(c0)]
-			p0 = p0[:len(c0)]
-			switch d {
-			case 1:
-				for k, c := range c0 {
-					fi[k], fp[k] = c, p0[k]
-				}
-			case 2:
-				c1, p1 := row(1, l[1])
-				c1, p1 = c1[:len(c0)], p1[:len(c0)]
-				for k, c := range c0 {
-					fi[k] = c1[k]<<l0 + c
-					fp[k] = p1[k] * p0[k]
-				}
-			default:
-				l1 := uint32(l[1])
-				c1, p1 := row(1, l[1])
-				c1, p1 = c1[:len(c0)], p1[:len(c0)]
-				ix, pr := idx[2*m:][:len(c0)], prod[2*m:][:len(c0)]
-				for k, c := range c0 {
-					fi[k] = (ix[k]<<l1+c1[k])<<l0 + c
-					fp[k] = pr[k] * p1[k] * p0[k]
-				}
+				ixUp, prUp := slot(t + 1)
+				prefixPass(ix, pr, ixUp, prUp, ct, pt, int64(1)<<uint32(l[t]))
 			}
 			coef := data[index2 : index2+sz]
-			o := out[:len(fi)]
-			fp = fp[:len(fi)]
-			for k, i := range fi {
-				o[k] += fp[k] * coef[i]
+			c0, p0 := row(0, l[0])
+			w0 := int64(1) << uint32(l[0])
+			switch d {
+			case 1:
+				accum1(out, coef, c0, p0)
+			case 2:
+				c1, p1 := row(1, l[1])
+				accum2(out, coef, c1, p1, c0, p0, w0)
+			default:
+				c1, p1 := row(1, l[1])
+				ix, pr := slot(2)
+				accum3(out, coef, ix, pr, c1, p1, c0, p0, int64(1)<<uint32(l[1]), w0)
 			}
 			// core.Next rewrites l[0 … j+1] for the first nonzero l[j].
 			j := 0
@@ -303,6 +291,53 @@ func sweep(g *core.Grid, xs [][]float64, out []float64, s *blockTables) {
 			core.Next(l)
 			index2 += sz
 		}
+	}
+}
+
+// prefixPass extends the dimension-(t+1) prefixes (ixUp, prUp) by the
+// dimension-t row (ct, pt) of width w = 2^l_t.
+//
+//go:noinline
+func prefixPass(ix []int64, pr []float64, ixUp []int64, prUp []float64, ct []int64, pt []float64, w int64) {
+	pr, ixUp, prUp = pr[:len(ix)], ixUp[:len(ix)], prUp[:len(ix)]
+	ct, pt = ct[:len(ix)], pt[:len(ix)]
+	for k := range ix {
+		ix[k] = ixUp[k]*w + ct[k]
+		pr[k] = prUp[k] * pt[k]
+	}
+}
+
+// accum1 is the fused pass of a one-dimensional grid.
+//
+//go:noinline
+func accum1(o, coef []float64, c0 []int64, p0 []float64) {
+	c0, p0 = c0[:len(o)], p0[:len(o)]
+	for k := range o {
+		o[k] += p0[k] * coef[c0[k]]
+	}
+}
+
+// accum2 is the fused pass of a two-dimensional grid; w0 = 2^l_0.
+//
+//go:noinline
+func accum2(o, coef []float64, c1 []int64, p1 []float64, c0 []int64, p0 []float64, w0 int64) {
+	c1, p1 = c1[:len(o)], p1[:len(o)]
+	c0, p0 = c0[:len(o)], p0[:len(o)]
+	for k := range o {
+		o[k] += p1[k] * p0[k] * coef[c1[k]*w0+c0[k]]
+	}
+}
+
+// accum3 is the fused pass of a grid of three or more dimensions over
+// the dimension-2 prefixes (ix, pr); w1 = 2^l_1 and w0 = 2^l_0.
+//
+//go:noinline
+func accum3(o, coef []float64, ix []int64, pr []float64, c1 []int64, p1 []float64, c0 []int64, p0 []float64, w1, w0 int64) {
+	ix, pr = ix[:len(o)], pr[:len(o)]
+	c1, p1 = c1[:len(o)], p1[:len(o)]
+	c0, p0 = c0[:len(o)], p0[:len(o)]
+	for k := range o {
+		o[k] += pr[k] * p1[k] * p0[k] * coef[(ix[k]*w1+c1[k])*w0+c0[k]]
 	}
 }
 

@@ -15,11 +15,11 @@ func TestBatchParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, c := range []struct{ d, n int }{
 		{1, 1},  // degenerate: one grid point
-		{1, 7},  // d = 1: only the accumulating pass
-		{2, 2},  // d = 2: single-dimension start
-		{3, 5},  // start pair straight into the accumulating pass
-		{5, 5},  // start pair plus one pair pass
-		{10, 4}, // high, even d: ends on a single-dimension pass
+		{1, 7},  // d = 1: the one-dimensional fused pass
+		{2, 2},  // d = 2: the two-dimensional fused pass
+		{3, 5},  // d = 3: one prefix slot, no prefix pass
+		{5, 5},  // prefixes refreshed from dimension 4 down
+		{10, 4}, // high d: deep prefix chains
 	} {
 		g := hierGrid(c.d, c.n, parabola)
 		sizes := kernelBatchSizes(blockFor(c.d, c.n))

@@ -210,6 +210,9 @@ func DecodeJSON(r *http.Request, limit int64, dst any) error {
 		return bodyError(err, "invalid JSON request: %v")
 	}
 	if _, err := dec.Token(); err != io.EOF {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return bodyError(err, "%v") // a value padded past the cap
+		}
 		return Errorf(http.StatusBadRequest, "request body contains data after the JSON value")
 	}
 	return nil

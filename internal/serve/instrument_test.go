@@ -84,6 +84,7 @@ func TestDecodeJSONStrict(t *testing.T) {
 		{"empty body", ``, 400, "empty request body"},
 		{"whitespace-only body", "  \n ", 400, "empty request body"},
 		{"truncated value", `{"grid":"g2","point":[0.5`, 400, "invalid JSON"},
+		{"value padded past the cap", `{"grid":"g2","point":[0.5,0.5]}` + strings.Repeat(" ", 1<<20), 413, "exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

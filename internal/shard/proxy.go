@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -733,12 +732,13 @@ func (p *Proxy) handleTopologyGet(w http.ResponseWriter, _ *http.Request) {
 
 // handleTopologySet swaps the routing topology: POST a Topology JSON
 // with a strictly newer epoch. Stale epochs are 409s, so concurrent
-// controllers cannot fight routing backwards.
+// controllers cannot fight routing backwards. The body is decoded as
+// strictly as every other JSON body: a misspelled or unknown field, or
+// data after the value, is a 400 and leaves the topology alone.
 func (p *Proxy) handleTopologySet(w http.ResponseWriter, r *http.Request) {
 	var t Topology
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-		p.inst.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("invalid topology: %v", err)})
+	if err := serve.DecodeJSON(r, p.cfg.MaxBodyBytes, &t); err != nil {
+		p.inst.WriteJSON(w, p.inst.Status(err), serve.ErrorResponse{Error: "invalid topology: " + err.Error()})
 		return
 	}
 	if err := p.SetTopology(t); err != nil {

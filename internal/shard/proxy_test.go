@@ -232,6 +232,38 @@ func TestProxyFailover(t *testing.T) {
 	}
 }
 
+// TestProxyTopologyStrictDecode: POST /admin/topology decodes as
+// strictly as every other JSON body. A body with a misspelled field, an
+// unknown field and trailing junk is a 400 that leaves the routing
+// epoch alone, an oversized body is a 413, and a well-formed bump still
+// installs with 200.
+func TestProxyTopologyStrictDecode(t *testing.T) {
+	shards, _ := startShards(t, 1)
+	p := newTestProxy(t, shards, Config{MaxBodyBytes: 4 << 10})
+	addr := shards[0].addr
+	bad := fmt.Sprintf(`{"epoch":2,"shards":[{"id":"s0","addr":%q,"wieght":3}],"bogus":true}junk`, addr)
+	rec := proxyPost(p, "/admin/topology", "application/json", "", []byte(bad))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("loose topology POST: status %d body %s, want 400", rec.Code, rec.Body)
+	}
+	if got := p.Topology().Epoch; got != 1 {
+		t.Fatalf("epoch %d after a rejected POST, want 1", got)
+	}
+	huge := fmt.Sprintf(`{"epoch":2,"shards":[{"id":"s0","addr":%q}]}%s`, addr, strings.Repeat(" ", 8<<10))
+	rec = proxyPost(p, "/admin/topology", "application/json", "", []byte(huge))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized topology POST: status %d body %s, want 413", rec.Code, rec.Body)
+	}
+	good := fmt.Sprintf(`{"epoch":2,"shards":[{"id":"s0","addr":%q}]}`, addr)
+	rec = proxyPost(p, "/admin/topology", "application/json", "", []byte(good))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("well-formed bump: status %d body %s, want 200", rec.Code, rec.Body)
+	}
+	if got := p.Topology().Epoch; got != 2 {
+		t.Fatalf("epoch %d after bump, want 2", got)
+	}
+}
+
 // TestProxyTopologySwap: the epoch bump is the rebalance mechanism —
 // stale epochs must be refused (409 over HTTP) and a newer epoch must
 // route to the replacement shard.
